@@ -5,21 +5,16 @@
 // What matters is (a) contiguous row-major operands — no per-sample
 // std::vector allocation, (b) loop tiling over the reduction dimension so
 // the working set stays in L1, and (c) a deterministic accumulation
-// order: every output element sums its reduction in ascending-k order and
-// is owned by exactly one parallel_for iteration, so results are bitwise
-// identical for any thread count.
+// order: every output element sums its reduction in ascending-k order.
+// The loops are serial: batch-16 products at most 96 wide cannot pay for a
+// pool wake-up; training parallelism sits in PerfModel's per-format fits.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
-#include "common/parallel.hpp"
-
 namespace spmvml {
 
-/// Rows of C that one parallel_for task handles; also the minimum row
-/// count before going parallel at all.
-inline constexpr std::int64_t kGemmRowGrain = 8;
 /// Reduction-dimension tile: 256 doubles = 2 KB per operand row, safely
 /// inside L1 alongside the C row being accumulated.
 inline constexpr int kGemmTileK = 256;
@@ -30,7 +25,7 @@ inline constexpr int kGemmTileK = 256;
 /// stored out x in.
 inline void gemm_nt(int m, int n, int k, const double* a, const double* b,
                     const double* bias, double* c) {
-  parallel_for(m, kGemmRowGrain, [&](std::int64_t i) {
+  for (std::int64_t i = 0; i < m; ++i) {
     const double* arow = a + i * k;
     double* crow = c + i * n;
     for (int j = 0; j < n; ++j) crow[j] = bias != nullptr ? bias[j] : 0.0;
@@ -43,7 +38,7 @@ inline void gemm_nt(int m, int n, int k, const double* a, const double* b,
         crow[j] = sum;
       }
     }
-  });
+  }
 }
 
 /// C (m x n) = A (m x k) * B (k x n), both row-major. This is the MLP
@@ -51,7 +46,7 @@ inline void gemm_nt(int m, int n, int k, const double* a, const double* b,
 /// weight matrix.
 inline void gemm_nn(int m, int n, int k, const double* a, const double* b,
                     double* c) {
-  parallel_for(m, kGemmRowGrain, [&](std::int64_t i) {
+  for (std::int64_t i = 0; i < m; ++i) {
     const double* arow = a + i * k;
     double* crow = c + i * n;
     std::fill(crow, crow + n, 0.0);
@@ -63,7 +58,7 @@ inline void gemm_nn(int m, int n, int k, const double* a, const double* b,
       const double* brow = b + static_cast<std::int64_t>(kk) * n;
       for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
-  });
+  }
 }
 
 /// C (m x n) = A^T * B where A is k x m and B is k x n, both row-major.
@@ -71,7 +66,7 @@ inline void gemm_nn(int m, int n, int k, const double* a, const double* b,
 /// batch x in activations, reducing over the batch.
 inline void gemm_tn(int m, int n, int k, const double* a, const double* b,
                     double* c) {
-  parallel_for(m, kGemmRowGrain, [&](std::int64_t i) {
+  for (std::int64_t i = 0; i < m; ++i) {
     double* crow = c + i * n;
     std::fill(crow, crow + n, 0.0);
     for (int kk = 0; kk < k; ++kk) {
@@ -80,7 +75,7 @@ inline void gemm_tn(int m, int n, int k, const double* a, const double* b,
       const double* brow = b + static_cast<std::int64_t>(kk) * n;
       for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
-  });
+  }
 }
 
 }  // namespace spmvml

@@ -1,49 +1,43 @@
-// Minimal parallel-for abstraction.
+// The library's one parallel runtime: parallel_for on a shared ThreadPool.
 //
-// Uses OpenMP when the build enables it; degrades to a serial loop
-// otherwise. Bodies must be independent per index (no ordering guarantee).
+// [0, n) splits into min(parallel_threads(), n) static contiguous chunks,
+// so a body whose result depends only on its index is deterministic at any
+// thread count. Pool helpers and the calling thread claim chunks from one
+// cursor, so a call from a busy pool worker or a nested parallel_for
+// degrades to the caller working alone. The first exception a chunk throws
+// is rethrown on the caller once every claimed chunk has finished.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-
-#ifdef SPMVML_HAVE_OPENMP
-#include <omp.h>
-#endif
+#include <functional>
 
 namespace spmvml {
 
+/// Threads a parallel_for can use: the CPUs this process may run on (the
+/// caller plus the shared pool's workers).
+int parallel_threads();
+
+namespace detail {
+/// Run chunk(c) for every c in [0, chunks) on the shared pool and the
+/// calling thread; returns when all have finished.
+void run_chunks(std::int64_t chunks,
+                const std::function<void(std::int64_t)>& chunk);
+}  // namespace detail
+
 /// Invoke fn(i) for i in [0, n), going parallel only when the trip count
-/// reaches `min_parallel_n` (amortising scheduling overhead). Iterations
-/// are partitioned statically, so a body whose result depends only on `i`
-/// is deterministic regardless of thread count.
+/// reaches `min_parallel_n` (amortising the pool wake-up).
 template <typename Fn>
 void parallel_for(std::int64_t n, std::int64_t min_parallel_n, Fn&& fn) {
-#ifdef SPMVML_HAVE_OPENMP
-  if (n >= min_parallel_n && omp_get_max_threads() > 1) {
-#pragma omp parallel for schedule(static)
+  const std::int64_t chunks = std::min<std::int64_t>(parallel_threads(), n);
+  if (n < min_parallel_n || chunks <= 1) {
     for (std::int64_t i = 0; i < n; ++i) fn(i);
     return;
   }
-#else
-  (void)min_parallel_n;
-#endif
-  for (std::int64_t i = 0; i < n; ++i) fn(i);
-}
-
-/// Invoke fn(i) for i in [0, n). Parallel when OpenMP is available and the
-/// trip count is large enough to amortise scheduling.
-template <typename Fn>
-void parallel_for(std::int64_t n, Fn&& fn) {
-  parallel_for(n, 1024, std::forward<Fn>(fn));
-}
-
-/// Number of worker threads the parallel_for above would use.
-inline int parallel_threads() {
-#ifdef SPMVML_HAVE_OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
+  detail::run_chunks(chunks, [&](std::int64_t c) {
+    const std::int64_t end = (c + 1) * n / chunks;
+    for (std::int64_t i = c * n / chunks; i < end; ++i) fn(i);
+  });
 }
 
 }  // namespace spmvml

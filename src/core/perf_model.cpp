@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "ml/serialize.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/gbt.hpp"
@@ -61,14 +62,15 @@ PerfModel::PerfModel(RegressorKind kind, FeatureSet feature_set,
 }
 
 void PerfModel::fit(const LabeledCorpus& corpus, int arch, Precision prec) {
-  models_.clear();
+  std::vector<ml::Matrix> x;
+  std::vector<std::vector<double>> y;
   for (Format f : formats_) {
-    const auto study =
+    auto study =
         make_format_regression_study(corpus, arch, prec, f, feature_set_);
-    auto model = make_regressor(kind_, fast_);
-    model->fit(study.data.x, study.data.targets);
-    models_.push_back(std::move(model));
+    x.push_back(std::move(study.data.x));
+    y.push_back(std::move(study.data.targets));
   }
+  fit_samples(x, y);
 }
 
 void PerfModel::fit_samples(
@@ -77,17 +79,20 @@ void PerfModel::fit_samples(
   SPMVML_ENSURE(x_per_format.size() == formats_.size() &&
                     y_per_format.size() == formats_.size(),
                 "fit_samples: one sample set per modeled format");
-  std::vector<ml::RegressorPtr> models;
-  models.reserve(formats_.size());
-  for (std::size_t i = 0; i < formats_.size(); ++i) {
-    SPMVML_ENSURE(!x_per_format[i].empty() &&
-                      x_per_format[i].size() == y_per_format[i].size(),
-                  std::string("fit_samples: need samples for ") +
-                      format_name(formats_[i]));
-    auto model = make_regressor(kind_, fast_);
-    model->fit(x_per_format[i], y_per_format[i]);
-    models.push_back(std::move(model));
-  }
+  // The per-format regressors are independent and seeded by their own
+  // parameters, so fitting them in parallel is bitwise a serial fit.
+  std::vector<ml::RegressorPtr> models(formats_.size());
+  parallel_for(static_cast<std::int64_t>(formats_.size()), 2,
+               [&](std::int64_t i) {
+                 const auto k = static_cast<std::size_t>(i);
+                 SPMVML_ENSURE(!x_per_format[k].empty() &&
+                                   x_per_format[k].size() ==
+                                       y_per_format[k].size(),
+                               std::string("fit_samples: need samples for ") +
+                                   format_name(formats_[k]));
+                 models[k] = make_regressor(kind_, fast_);
+                 models[k]->fit(x_per_format[k], y_per_format[k]);
+               });
   models_ = std::move(models);
 }
 

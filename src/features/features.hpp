@@ -16,8 +16,6 @@
 
 namespace spmvml {
 
-class ThreadPool;  // forward declaration; defined in common/thread_pool.hpp
-
 inline constexpr int kNumFeatures = 17;
 
 /// Index of each feature inside FeatureVector::values.
@@ -69,18 +67,10 @@ struct FeatureVector {
   std::vector<double> select(std::span<const int> indices) const;
 };
 
-/// One O(nnz) scan over the CSR structure.
+/// One O(nnz) scan over the CSR structure, in fixed 4096-row blocks run
+/// through parallel_for and merged in row order: byte-identical at any
+/// thread count, and safe to call from a pool worker (the serving path).
 FeatureVector extract_features(const Csr<double>& m);
-
-/// Blocked-parallel extraction on a shared thread pool: the fixed
-/// 4096-row block partition is scanned cooperatively (pool workers help,
-/// the caller participates, so a saturated pool degrades to the serial
-/// scan instead of deadlocking) and block accumulators merge in row
-/// order via the exact StreamingStats::merge — the result is
-/// byte-identical to extract_features(m) at any pool size, including
-/// when the caller is itself a pool worker (the serving batch path).
-/// pool == nullptr degrades to extract_features(m).
-FeatureVector extract_features(const Csr<double>& m, ThreadPool* pool);
 
 /// Approximate extraction from a random row sample (O(nnz * fraction)):
 /// set-1 features stay exact (they are O(1) from CSR metadata); set-2/3

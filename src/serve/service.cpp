@@ -526,10 +526,9 @@ bool Service::resolve_features(Pending& item, Response& rsp,
         if (keep_view != nullptr) *keep_view = std::move(view);
         return false;
       }
-      // In-batch parallel extraction: the pool workers cooperate on the
-      // blocked scan and the caller participates, so this is safe (and
-      // degrades to the serial scan) even though we ARE a pool worker.
-      features = extract_features(*view, &pool_);
+      // In-batch parallel extraction: this worker scans blocks too, so a
+      // busy parallel_for pool degrades to the serial scan, never a wait.
+      features = extract_features(*view);
       summary = summarize(*view);
       if (fault.kind == chaos::FaultKind::kCorrupt) {
         // Corrupted extraction: every value off by a sign flip. The

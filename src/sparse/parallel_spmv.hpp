@@ -1,4 +1,4 @@
-// Shared-memory parallel SpMV kernels (OpenMP when available).
+// Shared-memory parallel SpMV kernels on parallel_for's shared pool.
 //
 // The serial kernels in each format class are the reference semantics and
 // every variant here is built from the SAME simd primitives (simd::dot,
@@ -27,6 +27,7 @@
 #pragma once
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -41,6 +42,17 @@
 
 namespace spmvml {
 
+/// Nonzeros below which an SpMV stays serial: waking a sleeping pool
+/// worker costs 0.1-0.2 ms on a 4-vCPU KVM guest, where split CSR products
+/// of 0.1M-0.3M nonzeros ran at 0.76-0.82x serial and from 0.4M up at 2.4-3x.
+inline constexpr index_t kParallelSpmvMinNnz = index_t{1} << 18;
+
+/// parallel_for threshold, in tasks (rows, blocks or partitions), for an
+/// SpMV over `nnz` nonzeros: any split once nnz is big enough, none below.
+inline index_t spmv_min_tasks(index_t nnz) {
+  return nnz >= kParallelSpmvMinNnz ? 2 : std::numeric_limits<index_t>::max();
+}
+
 /// y = A*x, rows in parallel.
 template <typename ValueT>
 void spmv_parallel(const Csr<ValueT>& a,
@@ -52,7 +64,7 @@ void spmv_parallel(const Csr<ValueT>& a,
   const auto col_idx = a.col_idx();
   const auto values = a.values();
   const auto dot = simd::dot_kernel<ValueT>();
-  parallel_for(a.rows(), [&](index_t r) {
+  parallel_for(a.rows(), spmv_min_tasks(a.nnz()), [&](index_t r) {
     const index_t begin = row_ptr[static_cast<std::size_t>(r)];
     y[static_cast<std::size_t>(r)] =
         dot(values.data() + begin, col_idx.data() + begin, x.data(),
@@ -69,7 +81,7 @@ void spmv_parallel(const Ell<ValueT>& a,
   SPMVML_ENSURE(static_cast<index_t>(y.size()) == a.rows(), "y size != rows");
   constexpr index_t kBlock = 4096;  // rows per task
   const index_t blocks = (a.rows() + kBlock - 1) / kBlock;
-  parallel_for(blocks, [&](index_t b) {
+  parallel_for(blocks, spmv_min_tasks(a.nnz()), [&](index_t b) {
     const index_t begin = b * kBlock;
     const index_t count = std::min<index_t>(kBlock, a.rows() - begin);
     std::fill(y.begin() + begin, y.begin() + begin + count, ValueT{});
@@ -90,7 +102,7 @@ void spmv_parallel(const Sell<ValueT>& a,
   const index_t per_block =
       std::max<index_t>(1, 4096 / std::max<index_t>(1, a.slice_height()));
   const index_t blocks = (slices + per_block - 1) / per_block;
-  parallel_for(blocks, [&](index_t b) {
+  parallel_for(blocks, spmv_min_tasks(a.nnz()), [&](index_t b) {
     const index_t begin = b * per_block;
     a.spmv_slices(x, y, begin, std::min<index_t>(per_block, slices - begin));
   });
@@ -122,10 +134,11 @@ void spmv_parallel(const MergeCsr<ValueT>& a,
 
   // Zero-fill so every phase-1 write can be '+=' (each non-carry flush is
   // unique to one partition — no races).
-  parallel_for(a.rows(),
+  const index_t min_tasks = spmv_min_tasks(a.nnz());
+  parallel_for(a.rows(), min_tasks,
                [&](index_t r) { y[static_cast<std::size_t>(r)] = ValueT{}; });
 
-  parallel_for(parts, [&](index_t part) {
+  parallel_for(parts, min_tasks, [&](index_t part) {
     auto& carry = carries[static_cast<std::size_t>(part)];
     bool first_flush = true;
     // The first flush of a partition may belong to a row begun in an

@@ -1,7 +1,13 @@
 // Unit tests for src/common: RNG determinism, streaming stats, tables.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <mutex>
+#include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/env.hpp"
@@ -10,6 +16,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 
 namespace spmvml {
 namespace {
@@ -225,11 +232,95 @@ TEST(Env, CorpusScaleClamped) {
   EXPECT_DOUBLE_EQ(corpus_scale(), 1.0);
 }
 
+/// Run parallel_for over [0, n) and assert every index ran exactly once.
+void expect_each_index_once(std::int64_t n) {
+  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+  parallel_for(n, 1, [&](std::int64_t i) {
+    hits[static_cast<std::size_t>(i)].fetch_add(1);
+  });
+  for (std::int64_t i = 0; i < n; ++i)
+    EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "n=" << n;
+}
+
 TEST(Parallel, ParallelForCoversAllIndices) {
-  std::vector<int> hits(5000, 0);
-  parallel_for(5000, [&](std::int64_t i) { hits[static_cast<std::size_t>(i)]++; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-  EXPECT_GE(parallel_threads(), 1);
+  const std::int64_t t = parallel_threads();
+  EXPECT_GE(t, 1);
+  for (std::int64_t n : {std::int64_t{0}, std::int64_t{1}, std::int64_t{2},
+                         t - 1, t, t + 1, std::int64_t{1023},
+                         std::int64_t{1024}, std::int64_t{5000}})
+    expect_each_index_once(n);
+
+  // From inside a ThreadPool task: the caller claims chunks itself, so
+  // this completes even with the submitting pool's only worker busy.
+  ThreadPool pool(1);
+  pool.submit([] { expect_each_index_once(5000); });
+  pool.wait_idle();
+
+  // Nested: every outer chunk runs an inner parallel_for.
+  std::vector<std::atomic<int>> nested(64 * 100);
+  parallel_for(64, 1, [&](std::int64_t i) {
+    parallel_for(100, 1, [&](std::int64_t j) {
+      nested[static_cast<std::size_t>(i * 100 + j)].fetch_add(1);
+    });
+  });
+  for (const auto& h : nested) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(Parallel, ParallelForRunsOnMoreThanOneThread) {
+  if (parallel_threads() < 2) GTEST_SKIP() << "one CPU available";
+  // Each body waits (bounded) for a second thread to show up, so a slow
+  // pool wake-up cannot make the check flaky.
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  parallel_for(parallel_threads(), 1, [&](std::int64_t) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (std::chrono::steady_clock::now() < deadline) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (ids.size() >= 2) return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  EXPECT_GE(ids.size(), 2u);
+}
+
+TEST(Parallel, ParallelForRethrowsOnCaller) {
+  if (parallel_threads() < 2) GTEST_SKIP() << "one CPU available";
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const bool throw_on_caller : {false, true}) {
+    // Every chunk but the thrower waits (bounded) until the throw, so it
+    // lands on the intended side: a helper's chunk or the caller's own.
+    std::atomic<bool> thrown{false};
+    std::atomic<int> running{0};
+    const auto body = [&](std::int64_t) {
+      running.fetch_add(1);
+      struct Leave {
+        std::atomic<int>& running;
+        ~Leave() { running.fetch_sub(1); }
+      } leave{running};
+      const bool on_caller = std::this_thread::get_id() == caller;
+      if (on_caller == throw_on_caller && !thrown.exchange(true))
+        throw std::runtime_error(on_caller ? "caller" : "helper");
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!thrown.load() && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    try {
+      parallel_for(parallel_threads(), 1, body);
+      ADD_FAILURE() << "parallel_for swallowed the exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), throw_on_caller ? "caller" : "helper");
+    }
+    // Rethrown only after every claimed chunk returned.
+    EXPECT_EQ(running.load(), 0);
+  }
 }
 
 TEST(Ensure, ThrowsWithMessage) {

@@ -278,9 +278,13 @@ TEST(IngestCache, StatCacheInvalidatesOnRewrite) {
   std::remove(path.c_str());
 }
 
-// --- Pool-blocked feature extraction --------------------------------------
+// --- Parallel feature extraction on a pool worker ------------------------
 
 TEST(IngestFeatures, PoolExtractionBitwiseMatchesSerial) {
+  // The serving batch path extracts features on a pool worker. Four
+  // concurrent extractions share parallel_for's pool, so some of them scan
+  // every block on their own worker; all must match the test thread's
+  // extraction byte for byte.
   ThreadPool pool(4);
   // Small matrices (single block) and one spanning many 4096-row blocks.
   std::vector<GenSpec> specs = {make_small_plan(1, 71).specs[0],
@@ -294,16 +298,15 @@ TEST(IngestFeatures, PoolExtractionBitwiseMatchesSerial) {
   for (const GenSpec& spec : specs) {
     const Csr<double> m = generate(spec);
     const FeatureVector serial = extract_features(m);
-    const FeatureVector pooled = extract_features(m, &pool);
-    EXPECT_EQ(std::memcmp(serial.values.data(), pooled.values.data(),
-                          sizeof(serial.values)),
-              0)
-        << "rows=" << m.rows();
-    // nullptr pool degrades to the serial path.
-    const FeatureVector none = extract_features(m, nullptr);
-    EXPECT_EQ(std::memcmp(serial.values.data(), none.values.data(),
-                          sizeof(serial.values)),
-              0);
+    std::vector<FeatureVector> pooled(4);
+    for (FeatureVector& out : pooled)
+      pool.submit([&m, &out] { out = extract_features(m); });
+    pool.wait_idle();
+    for (const FeatureVector& f : pooled)
+      EXPECT_EQ(std::memcmp(serial.values.data(), f.values.data(),
+                            sizeof(serial.values)),
+                0)
+          << "rows=" << m.rows();
   }
 }
 

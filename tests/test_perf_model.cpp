@@ -59,6 +59,34 @@ TEST(PerfModel, UnmodeledFormatThrows) {
                Error);
 }
 
+TEST(PerfModel, ParallelFitIsBitwiseSerialFit) {
+  // fit() trains the per-format regressors in parallel; a one-format model
+  // fits on the calling thread alone. Each format's predictions must match
+  // to the last bit.
+  PerfModel all(RegressorKind::kMlp, FeatureSet::kSet12, kAllFormats, true);
+  all.fit(shared_corpus(), 0, Precision::kDouble);
+  for (Format f : kAllFormats) {
+    const Format one_format[] = {f};
+    PerfModel one(RegressorKind::kMlp, FeatureSet::kSet12, one_format, true);
+    one.fit(shared_corpus(), 0, Precision::kDouble);
+    for (const auto& rec : shared_corpus().records)
+      EXPECT_EQ(all.predict_seconds(rec.features, f),
+                one.predict_seconds(rec.features, f))
+          << format_name(f);
+  }
+}
+
+TEST(PerfModel, FitSamplesRethrowsPerFormatFailure) {
+  // The per-format bodies run as parallel_for tasks; a failing one must
+  // surface as the Error on the calling thread.
+  PerfModel model(RegressorKind::kDecisionTree, FeatureSet::kSet1,
+                  kBasicFormats, true);
+  std::vector<ml::Matrix> x(kBasicFormats.size(), ml::Matrix{{1.0}, {2.0}});
+  std::vector<std::vector<double>> y(kBasicFormats.size(), {1.0, 2.0});
+  x.back().clear();
+  EXPECT_THROW(model.fit_samples(x, y), Error);
+}
+
 TEST(JointPerfModel, PredictsPerFormatDifferences) {
   JointPerfModel model(RegressorKind::kDecisionTree, FeatureSet::kSet12,
                        kAllFormats, true);

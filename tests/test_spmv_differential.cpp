@@ -127,6 +127,47 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(0.3, 1.2),
         ::testing::Values(7ULL, 1234ULL)));
 
+// --- Above the parallel work threshold ------------------------------------
+// The 500-row matrices above stay below kParallelSpmvMinNnz, so the
+// parallel kernels run them on the calling thread. These are sized so that
+// every decomposable format (HYB through its ELL part) really splits across
+// the shared pool, and must still match the serial kernel byte for byte.
+class SpmvDifferentialParallel
+    : public ::testing::TestWithParam<MatrixFamily> {};
+
+TEST_P(SpmvDifferentialParallel, SerialParallelBitwiseAboveWorkThreshold) {
+  GenSpec spec;
+  spec.family = GetParam();
+  spec.rows = 40000;
+  spec.cols = 39000;
+  spec.row_mu = 10.0;
+  spec.row_cv = 0.3;  // keeps ELL padding, and so the test, small
+  spec.seed = 77;
+  const auto csr = generate(spec);
+  const auto x = random_x(csr.cols(), 0xBA5EULL);
+  std::vector<double> y_serial(static_cast<std::size_t>(csr.rows()));
+  std::vector<double> y_par(y_serial.size());
+  for (const Format f : kAllFormats) {
+    const auto m = AnyMatrix<double>::build(f, csr);
+    const index_t parallel_nnz =
+        f == Format::kHyb ? m.get<Hyb<double>>().ell_part().nnz() : csr.nnz();
+    ASSERT_GE(parallel_nnz, kParallelSpmvMinNnz) << format_name(f);
+    m.spmv(x, y_serial);
+    spmv_parallel_any(m, x, y_par);
+    EXPECT_TRUE(bytes_equal(y_serial, y_par))
+        << format_name(f) << ": parallel y differs from serial y, family "
+        << family_name(GetParam());
+  }
+}
+
+// Power-law is left out: at this size its ELL image is mostly padding,
+// and its HYB keeps too few entries in the ELL part to split.
+INSTANTIATE_TEST_SUITE_P(
+    Families, SpmvDifferentialParallel,
+    ::testing::Values(MatrixFamily::kBanded, MatrixFamily::kStencil,
+                      MatrixFamily::kUniformRandom, MatrixFamily::kBlockRandom,
+                      MatrixFamily::kGeomGraph));
+
 // --- SELL-C-sigma across the (C, sigma) tuning surface ---------------------
 // The generic suite above covers SELL at the default (32, 128); this one
 // sweeps C in {4, 32} x sigma in {C, 4C, rows} over all six families,

@@ -5,11 +5,11 @@
 #   tools/check.sh --asan     # same, in a separate build dir with
 #                             # -fsanitize=address,undefined
 #   tools/check.sh --tsan     # ThreadSanitizer over the concurrency tests
-#                             # (thread pool, parallel collection, logger +
-#                             # sharded metrics, concurrent arenas, the
-#                             # online-learning loop); OpenMP
-#                             # is disabled there because libgomp's
-#                             # uninstrumented runtime trips false positives
+#                             # (thread pool, parallel_for and the parallel
+#                             # SpMV kernels, parallel collection, logger +
+#                             # sharded metrics, concurrent arenas, MLP and
+#                             # per-format perf-model fits, feature
+#                             # extraction, the online-learning loop)
 #   tools/check.sh --simd-off # full suite with -DSPMVML_FORCE_SCALAR=ON:
 #                             # the SIMD tiers compiled out, every kernel on
 #                             # the scalar reference — the differential
@@ -42,10 +42,10 @@ if [[ "${1:-}" == "--asan" ]]; then
 elif [[ "${1:-}" == "--tsan" ]]; then
   echo "== thread sanitizer pass (concurrency tests) =="
   cmake -B build-tsan -S . -DSPMVML_SANITIZE=thread \
-    -DSPMVML_ENABLE_OPENMP=OFF -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'ThreadPool|ParallelCollector|Parallel\.|Obs|Serve|Ingest|Arena|Differential|Chaos|Breaker|Drain|Learn|Replay|Drift|Sell'
+    -R 'ThreadPool|ParallelCollector|Parallel\.|Obs|Serve|Ingest|Arena|Differential|Chaos|Breaker|Drain|Learn|Replay|Drift|Sell|ParallelSpmv|Mlp|PerfModel|Features'
 elif [[ "${1:-}" == "--chaos" ]]; then
   echo "== chaos smoke (asan; scripted fault bursts + robustness tests) =="
   cmake -B build-chaos -S . "-DSPMVML_SANITIZE=address;undefined" \
