@@ -1,16 +1,16 @@
-// Perf gate for the parallel measurement pipeline: serial vs parallel
-// corpus collection (the backoff-overlap win), the blocked feature scan
-// vs a straight serial reference scan, and per-sample vs batched MLP
-// forward passes. Results land in BENCH_pipeline.json.
+// Perf gate for the measurement pipeline: corpus collection on one pool
+// worker vs parallel_threads() workers, the blocked feature scan vs a
+// straight serial reference scan, and per-sample vs batched MLP forward
+// passes. Results land in BENCH_pipeline.json.
 //
-// Collection with faults enabled spends most of its wall clock in
-// transient-retry backoff; the serial collector blocks on every delay
-// while the pool parks the matrix and runs another, so the speedup shows
-// even on a single-core host. The bench also asserts the parallel corpus
-// is byte-identical to the serial one — it is a pure speed knob.
+// Collection runs with transient faults enabled, so cells re-roll in
+// place. The speedup is real work spread over cores, so a single-core
+// host shows none. The bench asserts the parallel corpus is byte-identical
+// to the one-worker corpus (exit 1 otherwise) — threads are a pure speed
+// knob.
 //
-// Built only with -DSPMVML_BENCH=ON:
 //   ./build/bench/pipeline_bench [out.json]
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/json_writer.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/timer.hpp"
@@ -39,29 +40,34 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-// Fault recipe that makes backoff the dominant serial cost, mirroring a
-// flaky measurement backend: a quarter of cells need at least one retry.
+// Fault recipe of a flaky measurement backend: a quarter of cells need
+// at least one re-roll.
 CollectOptions bench_collect_options() {
   CollectOptions opts;
   opts.faults.enabled = true;
   opts.faults.transient_rate = 0.25;
   opts.max_retries = 6;
-  opts.backoff_base_s = 0.004;
-  opts.backoff_cap_s = 0.05;
   return opts;
 }
 
-double time_collect(const CorpusPlan& plan, int threads, std::string* csv) {
+/// Median wall time of `reps` collections at `threads` workers; the CSV
+/// of the last run lands in *csv.
+double time_collect(const CorpusPlan& plan, int threads, int reps,
+                    std::string* csv) {
   CollectOptions opts = bench_collect_options();
   opts.threads = threads;
-  WallTimer timer;
-  const auto corpus = collect_corpus(plan, opts);
-  const double s = timer.seconds();
-  const std::string path = "pipeline_bench_corpus.tmp.csv";
-  save_corpus_csv(path, corpus, plan.size());
-  *csv = slurp(path);
-  std::remove(path.c_str());
-  return s;
+  std::vector<double> times;
+  for (int rep = 0; rep < reps; ++rep) {
+    WallTimer timer;
+    const auto corpus = collect_corpus(plan, opts);
+    times.push_back(timer.seconds());
+    const std::string path = "pipeline_bench_corpus.tmp.csv";
+    save_corpus_csv(path, corpus, plan.size());
+    *csv = slurp(path);
+    std::remove(path.c_str());
+  }
+  std::sort(times.begin(), times.end());
+  return times[times.size() / 2];
 }
 
 // The pre-blocking extraction loop: one serial pass over every row,
@@ -98,14 +104,20 @@ double reference_scan_seconds(const Csr<double>& m, int reps) {
 int main_impl(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_pipeline.json";
 
-  // --- Collection: serial vs 8 worker threads, byte-identical check. ---
-  std::printf("== collect: 64 matrices, transient faults + backoff ==\n");
+  // --- Collection: 1 vs parallel_threads() workers, byte-identical. ---
+  std::printf("== collect: 64 matrices, transient faults re-rolled ==\n");
   const auto plan = make_small_plan(64, 2024);
+  const int threads = parallel_threads();
+  const int collect_reps = 3;
   std::string serial_csv, parallel_csv;
-  const double collect_serial_s = time_collect(plan, 1, &serial_csv);
-  std::printf("  serial (1 thread):    %.3f s\n", collect_serial_s);
-  const double collect_parallel_s = time_collect(plan, 8, &parallel_csv);
-  std::printf("  parallel (8 threads): %.3f s\n", collect_parallel_s);
+  const double collect_serial_s =
+      time_collect(plan, 1, collect_reps, &serial_csv);
+  std::printf("  1 thread:   %.3f s (median of %d)\n", collect_serial_s,
+              collect_reps);
+  const double collect_parallel_s =
+      time_collect(plan, threads, collect_reps, &parallel_csv);
+  std::printf("  %d threads: %.3f s (median of %d)\n", threads,
+              collect_parallel_s, collect_reps);
   const bool identical =
       !serial_csv.empty() && serial_csv == parallel_csv;
   const double collect_speedup = collect_serial_s / collect_parallel_s;
@@ -193,8 +205,10 @@ int main_impl(int argc, char** argv) {
   json.key("collect");
   json.begin_object();
   json.kv("matrices", static_cast<std::uint64_t>(plan.size()));
-  json.kv("serial_s", collect_serial_s);
-  json.kv("parallel8_s", collect_parallel_s);
+  json.kv("reps", collect_reps);
+  json.kv("threads", threads);
+  json.kv("threads1_s", collect_serial_s);
+  json.kv("parallel_s", collect_parallel_s);
   json.kv("speedup", collect_speedup);
   json.kv("byte_identical", identical);
   json.end_object();

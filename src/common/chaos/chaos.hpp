@@ -47,9 +47,9 @@ namespace spmvml::chaos {
 enum class Site : int {
   kRequestParse = 0,    // serve: JSONL request parsing
   kCacheLookup = 1,     // serve: feature-cache get (fail-open to a miss)
-  kFeatureExtract = 2,  // serve: Table II extraction (retryable)
+  kFeatureExtract = 2,  // serve: Table II extraction (degrades to CSR)
   kMaterialize = 3,     // serve: arena conversion of the chosen format
-  kInference = 4,       // serve: classifier pass (retryable / corruptible)
+  kInference = 4,       // serve: classifier pass (degrades to CSR)
   kRegistrySwap = 5,    // serve: model hot-swap publish (rolls back)
   kOracleMeasure = 6,   // gpusim: oracle measurement (PR 1 fault model)
 };
@@ -62,7 +62,7 @@ std::optional<Site> site_from_name(std::string_view name);
 enum class FaultKind : int {
   kNone = 0,
   kLatency = 1,  // add latency_ms before the operation
-  kError = 2,    // fail the operation (transient: retries re-roll)
+  kError = 2,    // fail the operation
   kCorrupt = 3,  // complete the operation with corrupted payload
 };
 

@@ -5,8 +5,8 @@
 //                          smoke runs (default 0)
 //   SPMVML_SEED          — root seed for all experiments (default 2018,
 //                          the paper's publication year)
-//   SPMVML_THREADS       — worker threads for parallel collection and the
-//                          pipeline bench (default 1 = serial)
+//   SPMVML_THREADS       — worker threads for corpus collection
+//                          (default 1)
 //
 // Serving knobs (read by tools/spmvml_cli.cpp via the helpers here; the
 // matching command-line flag wins over the env var):
@@ -75,7 +75,7 @@ bool fast_mode();
 std::uint64_t root_seed();
 
 /// Worker-thread count for the collection pipeline (SPMVML_THREADS,
-/// default 1, clamped to [1, 256]). 1 means the serial code path.
+/// default 1, clamped to [1, 256]).
 int thread_count();
 
 }  // namespace spmvml

@@ -7,7 +7,7 @@
 // relative to the trace epoch, the process pid slot fixed at 1, and the
 // same small per-thread tid the logger uses. The resulting file loads in
 // Perfetto / chrome://tracing. trace_instant() adds thread-scoped instant
-// events (backoff requeues, checkpoint writes).
+// events (checkpoint writes).
 //
 // Off by default and zero-overhead when off: TraceSpan's constructor
 // checks one relaxed atomic; disabled spans store nothing, take no lock

@@ -7,8 +7,6 @@
 namespace spmvml {
 
 namespace {
-thread_local int tls_worker_index = -1;
-
 // Handles are cheap {registry, id} values; function-local statics keep
 // the name lookup off the per-task path. Several pools share the series
 // (the pipeline runs one pool at a time).
@@ -62,11 +60,8 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-int ThreadPool::worker_index() { return tls_worker_index; }
-
 void ThreadPool::publish_depth() {
-  queue_depth_gauge().set(
-      static_cast<double>(ready_.size() + delayed_.size()));
+  queue_depth_gauge().set(static_cast<double>(ready_.size()));
 }
 
 void ThreadPool::submit(std::function<void()> task) {
@@ -79,48 +74,10 @@ void ThreadPool::submit(std::function<void()> task) {
   work_cv_.notify_one();
 }
 
-void ThreadPool::submit_after(double delay_s, std::function<void()> task) {
-  if (delay_s <= 0.0) {
-    submit(std::move(task));
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    DelayedTask t;
-    t.ready_at = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                    std::chrono::duration<double>(delay_s));
-    t.seq = delayed_seq_++;
-    t.fn = std::move(task);
-    delayed_.push(std::move(t));
-    ++pending_;
-    publish_depth();
-  }
-  // A worker may be sleeping past the new deadline; wake one to re-arm.
-  work_cv_.notify_one();
-}
-
-void ThreadPool::promote_due(Clock::time_point now) {
-  while (!delayed_.empty() && delayed_.top().ready_at <= now) {
-    // priority_queue::top() is const; the task is moved out via const_cast
-    // immediately before pop, which is safe because no other accessor
-    // observes the moved-from element.
-    // Queue wait counts from promotion, not submit_after: the deadline
-    // delay is intentional backoff, not queue pressure.
-    ready_.push_back(
-        {std::move(const_cast<DelayedTask&>(delayed_.top()).fn), now});
-    delayed_.pop();
-  }
-}
-
 void ThreadPool::worker_loop(int index) {
-  tls_worker_index = index;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    promote_due(Clock::now());
     if (!ready_.empty()) {
-      // promote_due may have made several tasks runnable at once; chain a
-      // wake-up so sibling workers pick up the rest.
-      if (ready_.size() > 1) work_cv_.notify_one();
       ReadyTask task = std::move(ready_.front());
       ready_.pop_front();
       publish_depth();
@@ -142,15 +99,7 @@ void ThreadPool::worker_loop(int index) {
       continue;
     }
     if (stop_) return;
-    if (!delayed_.empty()) {
-      // Copy the deadline: wait_until keeps a reference to its argument
-      // while the mutex is released, and a concurrent submit_after can
-      // reallocate the queue's storage under it.
-      const Clock::time_point deadline = delayed_.top().ready_at;
-      work_cv_.wait_until(lock, deadline);
-    } else {
-      work_cv_.wait(lock);
-    }
+    work_cv_.wait(lock);
   }
 }
 

@@ -1,19 +1,10 @@
-// Shared work-queue thread pool with deadline-delayed resubmission.
+// Shared work-queue thread pool.
 //
 // The pool exists for the embarrassingly-parallel stages of the pipeline
-// (corpus collection above all): tasks are opaque callables pulled from a
-// FIFO ready queue by a fixed set of workers. Two properties matter more
-// than raw throughput:
-//
-//  * submit_after(delay, task) parks a task in a deadline min-heap instead
-//    of sleeping inside a worker. This is how transient-retry backoff
-//    yields the worker: the retrying task re-enters the ready queue when
-//    its deadline passes, and the worker runs other matrices meanwhile.
-//    A pool of T workers can therefore overlap arbitrarily many backoff
-//    waits, where the serial collector blocked on every one.
-//  * wait_idle() gives the submitting thread a barrier over *all* work,
-//    including tasks that are currently parked on a deadline and tasks
-//    that tasks themselves submitted (resumable state machines).
+// (corpus collection, serving batches, the shared parallel_for helpers):
+// tasks are opaque callables pulled from a FIFO ready queue by a fixed set
+// of workers. wait_idle() gives the submitting thread a barrier over *all*
+// work, including tasks that tasks themselves submitted.
 //
 // Determinism note: the pool makes no ordering promises — callers that
 // need deterministic output must index results by task identity (see
@@ -28,7 +19,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -49,21 +39,11 @@ class ThreadPool {
   /// Enqueue a task for immediate execution.
   void submit(std::function<void()> task);
 
-  /// Enqueue a task that becomes runnable `delay_s` seconds from now.
-  /// Negative or zero delay degrades to submit(). The calling worker
-  /// returns immediately — nobody sleeps holding a pool slot.
-  void submit_after(double delay_s, std::function<void()> task);
-
-  /// Block until every submitted task (immediate and delayed, including
-  /// tasks submitted by running tasks) has finished.
+  /// Block until every submitted task (including tasks submitted by
+  /// running tasks) has finished.
   void wait_idle();
 
   int size() const { return static_cast<int>(workers_.size()); }
-
-  /// Index of the calling pool worker in [0, size()), or -1 when called
-  /// from a thread outside this pool. Lets tasks address per-worker state
-  /// (e.g. a private oracle set) without locking.
-  static int worker_index();
 
   /// Liveness snapshot of one worker: whether it is inside a task right
   /// now, and for how long. Workers stamp a heartbeat when a task starts
@@ -82,22 +62,11 @@ class ThreadPool {
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct DelayedTask {
-    Clock::time_point ready_at;
-    std::uint64_t seq = 0;  // FIFO tie-break for equal deadlines
-    std::function<void()> fn;
-    bool operator>(const DelayedTask& o) const {
-      return ready_at != o.ready_at ? ready_at > o.ready_at : seq > o.seq;
-    }
-  };
-
   void worker_loop(int index);
-  /// Move due delayed tasks onto the ready queue. Caller holds mu_.
-  void promote_due(Clock::time_point now);
 
   struct ReadyTask {
     std::function<void()> fn;
-    Clock::time_point enqueued;  // ready-queue entry (promotion for delayed)
+    Clock::time_point enqueued;
   };
 
   /// Update the pool.queue_depth gauge. Caller holds mu_.
@@ -107,11 +76,7 @@ class ThreadPool {
   std::condition_variable work_cv_;   // workers wait here
   std::condition_variable idle_cv_;   // wait_idle waits here
   std::deque<ReadyTask> ready_;
-  std::priority_queue<DelayedTask, std::vector<DelayedTask>,
-                      std::greater<DelayedTask>>
-      delayed_;
-  std::uint64_t delayed_seq_ = 0;
-  std::size_t pending_ = 0;  // submitted (ready + delayed + running)
+  std::size_t pending_ = 0;  // submitted (queued + running)
   bool stop_ = false;
   /// Per-worker task-start stamps (steady-clock ns; -1 = idle). Sized at
   /// construction, written only by the owning worker.

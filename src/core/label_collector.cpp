@@ -1,16 +1,13 @@
 #include "core/label_collector.hpp"
 
 #include <charconv>
-#include <chrono>
 #include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <string_view>
-#include <thread>
 
 #include "common/env.hpp"
 #include "common/error.hpp"
@@ -92,22 +89,13 @@ bool MatrixRecord::fully_valid() const {
   return true;
 }
 
-double backoff_delay_s(const CollectOptions& options, int attempt) {
-  if (options.backoff_base_s <= 0.0) return 0.0;
-  // exp2 saturates to +inf for huge exponents, so the min() against the
-  // cap is well-defined for any retry budget (1 << attempt would be UB
-  // past 30 on 32-bit int).
-  const double factor = std::exp2(static_cast<double>(std::min(attempt, 1023)));
-  return std::min(options.backoff_base_s * factor, options.backoff_cap_s);
-}
-
 namespace {
 
 constexpr std::size_t kCellsPerMatrix = static_cast<std::size_t>(kNumArchs) *
                                         kNumPrecisions * kNumFormats;
 
 /// Per-plan-entry accounting, merged into CollectStats in plan order so
-/// totals match the serial run exactly.
+/// totals are the same at every thread count.
 struct EntryStats {
   bool attempted = false;
   bool dropped_prefilter = false;
@@ -128,9 +116,9 @@ struct EntryStats {
     s.transient_cells += transient_cells;
     s.transient_retries += transient_retries;
 
-    // merge_into runs exactly once per plan entry on both the serial and
-    // the parallel path, so it doubles as the registry sink. A run that
-    // dies on an exception loses the unmerged tail — same as CollectStats.
+    // merge_into runs exactly once per plan entry, in plan order, so it
+    // doubles as the registry sink. A run that dies on an exception merges
+    // nothing — same as CollectStats.
     CollectMetrics& m = collect_metrics();
     if (attempted && !dropped_prefilter) m.cells_measured.add(kCellsPerMatrix);
     if (oom_cells > 0) m.cells_failed_oom.add(oom_cells);
@@ -152,31 +140,6 @@ void count_failed_cell(MeasurementStatus status, EntryStats& stats) {
     case MeasurementStatus::kTransient: ++stats.transient_cells; break;
     case MeasurementStatus::kOk: break;
   }
-}
-
-/// Measure one cell, retrying transient failures with capped exponential
-/// backoff. Structural failures (OOM, timeout) return immediately. Serial
-/// path only — the parallel collector requeues on the pool instead of
-/// sleeping.
-Measurement measure_with_retry(const MeasurementOracle& oracle,
-                               const RowSummary& summary, Format f,
-                               std::uint64_t seed,
-                               const CollectOptions& options,
-                               EntryStats& stats) {
-  obs::TraceSpan span("collect.cell");
-  span.arg("format", static_cast<int>(f));
-  Measurement m;
-  int attempts = 1;
-  for (int attempt = 0;; ++attempt, ++attempts) {
-    m = oracle.measure(summary, f, seed, attempt);
-    if (!is_retryable(m.status) || attempt >= options.max_retries) break;
-    ++stats.transient_retries;
-    const double delay = backoff_delay_s(options, attempt);
-    if (delay > 0.0)
-      std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-  }
-  span.arg("attempts", attempts).arg("ok", static_cast<int>(m.ok()));
-  return m;
 }
 
 /// §IV-C as a wholesale filter, kept for the fault-free configuration
@@ -254,91 +217,14 @@ bool prepare_record(const GenSpec& spec, int bucket,
   return true;
 }
 
-LabeledCorpus collect_corpus_serial(const CorpusPlan& plan,
-                                    const CollectOptions& options) {
-  LabeledCorpus corpus;
-  corpus.records.reserve(plan.size());
-  CollectStats& stats = corpus.stats;
-
-  const std::uint64_t fingerprint = plan_fingerprint(plan);
-  const std::size_t start = try_resume(plan, options, corpus);
-
-  // One oracle per (arch, precision); they share the cost parameters.
-  const std::vector<MeasurementOracle> oracles = make_oracle_set(options);
-
-  for (std::size_t m = start; m < plan.size(); ++m) {
-    obs::TraceSpan mspan("collect.matrix");
-    mspan.arg("index", static_cast<std::uint64_t>(m))
-        .arg("seed", plan.specs[m].seed);
-    MatrixRecord rec;
-    RowSummary summary;
-    EntryStats entry;
-    const bool keep_measuring = prepare_record(
-        plan.specs[m], plan.bucket_of[m], options, rec, summary, entry);
-    if (!keep_measuring) {
-      entry.merge_into(stats);
-      if (options.progress) options.progress(m + 1, plan.size());
-      continue;
-    }
-
-    std::size_t valid_cells = 0;
-    for (int a = 0; a < kNumArchs; ++a) {
-      for (int p = 0; p < kNumPrecisions; ++p) {
-        const auto& oracle =
-            oracles[static_cast<std::size_t>(a * kNumPrecisions + p)];
-        for (int f = 0; f < kNumFormats; ++f) {
-          const Measurement cell =
-              measure_with_retry(oracle, summary, static_cast<Format>(f),
-                                 rec.seed, options, entry);
-          rec.seconds[static_cast<std::size_t>(a)][static_cast<std::size_t>(p)]
-                     [static_cast<std::size_t>(f)] = cell.seconds;
-          if (cell.ok())
-            ++valid_cells;
-          else
-            count_failed_cell(cell.status, entry);
-        }
-      }
-    }
-
-    // A matrix is only dropped wholesale when *every* cell failed — there
-    // is nothing to learn from it.
-    if (valid_cells == 0)
-      entry.dropped_all_failed = true;
-    else
-      corpus.records.push_back(rec);
-    entry.merge_into(stats);
-
-    if (!options.checkpoint_path.empty() && options.checkpoint_every > 0 &&
-        (m + 1 - start) % options.checkpoint_every == 0 &&
-        m + 1 < plan.size()) {
-      save_corpus_csv(options.checkpoint_path, corpus, plan.size(),
-                      fingerprint, m + 1);
-      collect_metrics().checkpoints.inc();
-      obs::trace_instant("collect.checkpoint");
-      obs::log_debug("collect.checkpoint")
-          .kv("done", m + 1)
-          .kv("records", corpus.records.size());
-    }
-    if (options.progress) options.progress(m + 1, plan.size());
-  }
-  stats.kept = corpus.records.size();
-  if (!options.checkpoint_path.empty())
-    save_corpus_csv(options.checkpoint_path, corpus, plan.size(), fingerprint,
-                    plan.size());
-  return corpus;
-}
-
 // ---------------------------------------------------------------------------
-// Parallel collection.
+// Collection.
 //
-// Each plan entry is one resumable task: generate → summarize →
-// extract_features → measure all cells. When a cell needs transient-retry
-// backoff the task snapshots its position (cell index + attempt) and
-// requeues itself on the pool with a deadline instead of sleeping, so the
-// worker immediately moves on to another matrix. Finished entries land in
-// a plan-indexed slot array; the assembled corpus is therefore bitwise
-// identical to the serial run for any thread count. Checkpoints cover the
-// longest fully-complete prefix in plan order.
+// Each plan entry is one pool task: generate → summarize →
+// extract_features → measure every cell, re-rolling transient failures in
+// place. Finished entries land in a plan-indexed slot array, so the
+// assembled corpus is bitwise identical for every thread count.
+// Checkpoints cover the longest fully-complete prefix in plan order.
 
 struct EntrySlot {
   MatrixRecord rec;
@@ -346,28 +232,15 @@ struct EntrySlot {
   EntryStats stats;
 };
 
-struct MatrixTask {
-  std::size_t index = 0;
-  bool prepared = false;
-  bool dropped = false;
-  RowSummary summary;
-  MatrixRecord rec;
-  std::size_t cell = 0;  // linear over (arch, precision, format)
-  int attempt = 0;
-  std::size_t valid_cells = 0;
-  EntryStats stats;
-};
-
-struct ParallelCollectContext {
+struct CollectContext {
   const CorpusPlan& plan;
   const CollectOptions& options;
+  // One oracle per (arch, precision), shared by every worker:
+  // MeasurementOracle::measure is const and stateless.
+  const std::vector<MeasurementOracle> oracles;
   std::uint64_t fingerprint = 0;
   std::size_t start = 0;
-
-  ThreadPool pool;
-  // One oracle set per worker: task state never shares oracle storage
-  // with another in-flight matrix.
-  std::vector<std::vector<MeasurementOracle>> worker_oracles;
+  const std::vector<MatrixRecord>* resumed_records = nullptr;
 
   std::mutex mu;
   std::vector<EntrySlot> slots;
@@ -375,21 +248,16 @@ struct ParallelCollectContext {
   std::size_t prefix = 0;           // first plan index not yet complete
   std::size_t last_checkpoint = 0;  // prefix at the last checkpoint write
   std::size_t completed = 0;        // finished entries (progress reporting)
-  const std::vector<MatrixRecord>* resumed_records = nullptr;
   std::exception_ptr error;
   bool cancelled = false;
 
-  ParallelCollectContext(const CorpusPlan& p, const CollectOptions& o,
-                         int threads)
-      : plan(p), options(o), pool(threads) {
-    for (int t = 0; t < pool.size(); ++t)
-      worker_oracles.push_back(make_oracle_set(options));
-  }
+  CollectContext(const CorpusPlan& p, const CollectOptions& o)
+      : plan(p), options(o), oracles(make_oracle_set(o)) {}
 };
 
 /// Snapshot the longest complete prefix into a checkpoint file. Caller
 /// holds ctx.mu.
-void write_prefix_checkpoint(ParallelCollectContext& ctx, std::size_t done) {
+void write_prefix_checkpoint(CollectContext& ctx, std::size_t done) {
   LabeledCorpus snapshot;
   snapshot.records.reserve(ctx.resumed_records->size() + done - ctx.start);
   snapshot.records = *ctx.resumed_records;
@@ -404,13 +272,10 @@ void write_prefix_checkpoint(ParallelCollectContext& ctx, std::size_t done) {
       .kv("records", snapshot.records.size());
 }
 
-void finish_entry(ParallelCollectContext& ctx, const MatrixTask& task) {
+void finish_entry(CollectContext& ctx, std::size_t index, EntrySlot slot) {
   std::lock_guard<std::mutex> lock(ctx.mu);
-  EntrySlot& slot = ctx.slots[task.index];
-  slot.kept = task.prepared && !task.dropped && task.valid_cells > 0;
-  if (slot.kept) slot.rec = task.rec;
-  slot.stats = task.stats;
-  ctx.entry_done[task.index] = 1;
+  ctx.slots[index] = std::move(slot);
+  ctx.entry_done[index] = 1;
   ++ctx.completed;
 
   while (ctx.prefix < ctx.plan.size() && ctx.entry_done[ctx.prefix])
@@ -425,8 +290,7 @@ void finish_entry(ParallelCollectContext& ctx, const MatrixTask& task) {
       ctx.last_checkpoint = ctx.prefix;
       write_prefix_checkpoint(ctx, ctx.prefix);
     }
-    // Serialized under the lock; `done` is monotonic exactly like the
-    // serial path's (m + 1).
+    // Serialized under the lock, so `done` is monotonic.
     if (opt.progress) opt.progress(ctx.start + ctx.completed, ctx.plan.size());
   } catch (...) {
     ctx.cancelled = true;  // before the lock drops: no later progress call
@@ -434,77 +298,52 @@ void finish_entry(ParallelCollectContext& ctx, const MatrixTask& task) {
   }
 }
 
-void run_matrix_task(ParallelCollectContext& ctx,
-                     const std::shared_ptr<MatrixTask>& task) {
+void run_entry(CollectContext& ctx, std::size_t index) {
   try {
     {
+      // After a failure, entries that have not started drain as no-ops;
+      // running ones finish, so the longest-prefix checkpoint is maximal.
       std::lock_guard<std::mutex> lock(ctx.mu);
-      // After a failure, never-started entries drain as no-ops, but
-      // entries with partial progress (including ones parked in backoff)
-      // run to completion so the longest-prefix checkpoint is maximal.
-      if (ctx.cancelled && !task->prepared) return;
+      if (ctx.cancelled) return;
     }
-    // One span per task *segment*: a matrix parked for backoff shows as
-    // several collect.matrix slices with the requeue gap between them.
     obs::TraceSpan mspan("collect.matrix");
-    mspan.arg("index", static_cast<std::uint64_t>(task->index));
-    if (!task->prepared) {
-      const std::size_t m = task->index;
-      task->dropped =
-          !prepare_record(ctx.plan.specs[m], ctx.plan.bucket_of[m],
-                          ctx.options, task->rec, task->summary, task->stats);
-      task->prepared = true;
-      if (task->dropped) {
-        finish_entry(ctx, *task);
-        return;
-      }
-    }
-
-    const int wi = ThreadPool::worker_index();
-    const auto& oracles =
-        ctx.worker_oracles[wi >= 0 ? static_cast<std::size_t>(wi) : 0];
-    while (task->cell < kCellsPerMatrix) {
-      const auto machine = task->cell / kNumFormats;
-      const int f = static_cast<int>(task->cell % kNumFormats);
-      Measurement cell;
-      {
-        obs::TraceSpan cspan("collect.cell");
-        cspan.arg("format", f).arg("attempt", task->attempt);
-        cell = oracles[machine].measure(task->summary, static_cast<Format>(f),
-                                        task->rec.seed, task->attempt);
-        cspan.arg("ok", static_cast<int>(cell.ok()));
-      }
-      if (is_retryable(cell.status) &&
-          task->attempt < ctx.options.max_retries) {
-        ++task->stats.transient_retries;
-        const double delay = backoff_delay_s(ctx.options, task->attempt);
-        ++task->attempt;
-        if (delay > 0.0) {
-          // Yield the worker: park this matrix until the deadline and let
-          // the pool run other entries meanwhile.
-          obs::trace_instant("collect.backoff_requeue");
-          obs::log_debug("collect.backoff_requeue")
-              .kv("index", static_cast<std::uint64_t>(task->index))
-              .kv("cell", static_cast<std::uint64_t>(task->cell))
-              .kv("delay_s", delay);
-          auto self = task;
-          ctx.pool.submit_after(
-              delay, [&ctx, self] { run_matrix_task(ctx, self); });
-          return;
+    mspan.arg("index", static_cast<std::uint64_t>(index))
+        .arg("seed", ctx.plan.specs[index].seed);
+    EntrySlot slot;
+    RowSummary summary;
+    if (prepare_record(ctx.plan.specs[index], ctx.plan.bucket_of[index],
+                       ctx.options, slot.rec, summary, slot.stats)) {
+      std::size_t valid_cells = 0;
+      for (std::size_t machine = 0; machine < ctx.oracles.size(); ++machine) {
+        for (int f = 0; f < kNumFormats; ++f) {
+          obs::TraceSpan cspan("collect.cell");
+          cspan.arg("format", f);
+          Measurement cell;
+          int attempt = 0;
+          for (;; ++attempt) {
+            cell = ctx.oracles[machine].measure(
+                summary, static_cast<Format>(f), slot.rec.seed, attempt);
+            if (!is_retryable(cell.status) ||
+                attempt >= ctx.options.max_retries)
+              break;
+            ++slot.stats.transient_retries;
+          }
+          cspan.arg("attempts", attempt + 1)
+              .arg("ok", static_cast<int>(cell.ok()));
+          slot.rec.seconds[machine / kNumPrecisions][machine % kNumPrecisions]
+                          [static_cast<std::size_t>(f)] = cell.seconds;
+          if (cell.ok())
+            ++valid_cells;
+          else
+            count_failed_cell(cell.status, slot.stats);
         }
-        continue;  // backoff disabled: retry in place
       }
-      const auto a = machine / kNumPrecisions;
-      const auto p = machine % kNumPrecisions;
-      task->rec.seconds[a][p][static_cast<std::size_t>(f)] = cell.seconds;
-      if (cell.ok())
-        ++task->valid_cells;
-      else
-        count_failed_cell(cell.status, task->stats);
-      task->attempt = 0;
-      ++task->cell;
+      // A matrix is only dropped wholesale when *every* cell failed —
+      // there is nothing to learn from it.
+      slot.kept = valid_cells > 0;
+      slot.stats.dropped_all_failed = !slot.kept;
     }
-    finish_entry(ctx, *task);
+    finish_entry(ctx, index, std::move(slot));
   } catch (...) {
     std::lock_guard<std::mutex> lock(ctx.mu);
     if (!ctx.error) ctx.error = std::current_exception();
@@ -512,13 +351,12 @@ void run_matrix_task(ParallelCollectContext& ctx,
   }
 }
 
-LabeledCorpus collect_corpus_parallel(const CorpusPlan& plan,
-                                      const CollectOptions& options,
-                                      int threads) {
+LabeledCorpus run_collection(const CorpusPlan& plan,
+                             const CollectOptions& options, int threads) {
   LabeledCorpus corpus;
   corpus.records.reserve(plan.size());
 
-  ParallelCollectContext ctx(plan, options, threads);
+  CollectContext ctx(plan, options);
   ctx.fingerprint = plan_fingerprint(plan);
   ctx.start = try_resume(plan, options, corpus);
   ctx.resumed_records = &corpus.records;
@@ -529,16 +367,16 @@ LabeledCorpus collect_corpus_parallel(const CorpusPlan& plan,
   ctx.prefix = ctx.start;
   ctx.last_checkpoint = ctx.start;
 
-  for (std::size_t m = ctx.start; m < plan.size(); ++m) {
-    auto task = std::make_shared<MatrixTask>();
-    task->index = m;
-    ctx.pool.submit([&ctx, task] { run_matrix_task(ctx, task); });
+  {
+    ThreadPool pool(threads);
+    for (std::size_t m = ctx.start; m < plan.size(); ++m)
+      pool.submit([&ctx, m] { run_entry(ctx, m); });
+    pool.wait_idle();
   }
-  ctx.pool.wait_idle();
   if (ctx.error) {
     // A "killed" run still leaves the longest fully-complete prefix on
     // disk, so the next invocation resumes instead of starting over.
-    // In-flight tasks kept finishing after the failure (only queued work
+    // In-flight entries kept finishing after the failure (only queued work
     // is drained), so ctx.prefix reflects everything completed.
     if (!options.checkpoint_path.empty() && ctx.prefix > ctx.start)
       write_prefix_checkpoint(ctx, ctx.prefix);
@@ -573,9 +411,7 @@ LabeledCorpus collect_corpus(const CorpusPlan& plan,
       .kv("threads", threads)
       .kv("faults", options.faults.enabled);
   WallTimer timer;
-  LabeledCorpus corpus = threads <= 1
-                             ? collect_corpus_serial(plan, options)
-                             : collect_corpus_parallel(plan, options, threads);
+  LabeledCorpus corpus = run_collection(plan, options, threads);
   obs::log_info("collect.done")
       .kv("wall_s", timer.seconds())
       .kv("kept", corpus.stats.kept)

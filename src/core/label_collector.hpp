@@ -8,22 +8,20 @@
 //
 // Fault tolerance: with fault injection enabled (CollectOptions::faults)
 // individual (arch, precision, format) cells can fail — OOM, timeout, or
-// transient launch failure. Transients are retried with capped exponential
-// backoff; cells that stay failed are recorded as NaN (a validity mask)
-// instead of dropping the whole matrix, reproducing the paper's §IV-C
-// exclusion as a *policy* rather than a hard-coded filter. Collection can
-// checkpoint to the cache file every N matrices, so a killed run resumes
-// where it left off without re-measuring completed matrices.
+// transient launch failure. A transient cell is re-rolled in place up to
+// max_retries times; cells that stay failed are recorded as NaN (a
+// validity mask) instead of dropping the whole matrix, reproducing the
+// paper's §IV-C exclusion as a *policy* rather than a hard-coded filter.
+// Collection can checkpoint to the cache file every N matrices, so a
+// killed run resumes where it left off without re-measuring completed
+// matrices.
 //
-// Parallelism: with CollectOptions::threads > 1 (or SPMVML_THREADS set)
-// plan entries are processed concurrently by a shared thread pool. Every
-// record is a pure function of its GenSpec, so results are assembled into
-// a plan-indexed slot array and the returned corpus — and any CSV written
-// from it — is bitwise identical to the serial run for every thread
-// count. Checkpoints always cover the longest fully-complete *prefix* in
-// plan order, so resume semantics are unchanged. Transient-retry backoff
-// is a deadline-based requeue on the pool: a waiting matrix never stalls
-// a worker.
+// Parallelism: plan entries run as tasks on a thread pool of
+// CollectOptions::threads workers (or SPMVML_THREADS). Every record is a
+// pure function of its GenSpec, so results are assembled into a
+// plan-indexed slot array and the returned corpus — and any CSV written
+// from it — is bitwise identical for every thread count. Checkpoints
+// always cover the longest fully-complete *prefix* in plan order.
 #pragma once
 
 #include <array>
@@ -91,7 +89,7 @@ struct CollectStats {
   std::size_t failed_cells = 0;        // cells invalid after retries
   std::size_t oom_cells = 0;
   std::size_t timeout_cells = 0;
-  std::size_t transient_cells = 0;     // transient after retry budget
+  std::size_t transient_cells = 0;     // transient after max_retries
   std::size_t transient_retries = 0;   // retry attempts issued
   std::size_t resumed_records = 0;     // restored from a checkpoint
 };
@@ -117,32 +115,21 @@ struct CollectOptions {
   /// faults enabled the filter is skipped — infeasible formats fail
   /// per-cell instead and the matrix is kept.
   std::int64_t format_memory_limit = 12LL * 1000 * 1000 * 1000;
-  /// Transient-failure retry budget per cell (capped exponential backoff).
+  /// Transient-failure re-rolls per cell (each re-roll draws the fault
+  /// model at the next attempt number; nothing sleeps).
   int max_retries = 3;
-  /// Base backoff sleep in seconds (doubles per retry, capped at
-  /// backoff_cap_s). 0 disables sleeping — the schedule is still computed
-  /// and the retry accounting still happens, which is what tests want.
-  double backoff_base_s = 0.0;
-  double backoff_cap_s = 1.0;
   /// When non-empty, collection checkpoints the partial corpus here every
   /// `checkpoint_every` matrices and resumes from it on restart (plan
   /// fingerprint must match).
   std::string checkpoint_path;
   std::size_t checkpoint_every = 25;
   /// Called after each matrix with (done, total); pass {} to disable.
-  /// With threads > 1 the callback runs on worker threads but is always
-  /// serialized (done is monotonic); a throwing callback cancels the run.
+  /// The callback runs on pool workers but is always serialized (done is
+  /// monotonic); a throwing callback cancels the run.
   std::function<void(std::size_t, std::size_t)> progress;
-  /// Worker threads: 1 = the serial loop, >1 = the deterministic parallel
-  /// pipeline, 0 = read SPMVML_THREADS (default 1).
+  /// Pool workers; 0 = read SPMVML_THREADS (default 1).
   int threads = 0;
 };
-
-/// Backoff sleep before retry `attempt + 1` of a transient failure:
-/// base * 2^attempt, capped at backoff_cap_s and safe for arbitrarily
-/// large attempt counts (the doubling saturates instead of overflowing).
-/// Returns 0 when backoff is disabled (base <= 0).
-double backoff_delay_s(const CollectOptions& options, int attempt);
 
 /// Generate + summarise + measure every matrix in the plan.
 LabeledCorpus collect_corpus(const CorpusPlan& plan,

@@ -353,7 +353,6 @@ std::string to_json(const Response& r) {
       json.kv("shed", r.shed);
       json.kv("est_wait_ms", r.est_wait_ms);
     }
-    if (r.retries > 0) json.kv("retries", static_cast<std::int64_t>(r.retries));
     if (r.server_ms > 0.0) json.kv("server_ms", r.server_ms);
     json.end_object();
     return os.str();
@@ -366,7 +365,6 @@ std::string to_json(const Response& r) {
     json.kv("degraded", r.degraded);
     if (!r.degrade_reason.empty()) json.kv("degrade_reason", r.degrade_reason);
   }
-  if (r.retries > 0) json.kv("retries", static_cast<std::int64_t>(r.retries));
   if (!r.predicted_us.empty()) {
     json.key("predicted_us");
     json.begin_object();

@@ -112,8 +112,6 @@ struct Response {
   /// EWMA / workers). Reported on shed responses so callers see how far
   /// over budget the queue was when their request was turned away.
   double est_wait_ms = 0.0;
-  /// Transient-fault retries spent serving this request (all stages).
-  int retries = 0;
   bool cache_hit = false;
   std::uint64_t model_version = 0;
   /// Per-format predicted SpMV times in microseconds (predict/indirect).

@@ -24,6 +24,8 @@ namespace spmvml::serve {
 namespace {
 
 constexpr double kBatchBounds[] = {1, 2, 4, 8, 16, 32, 64, 128};
+/// LRU shards of the feature and ingest caches.
+constexpr int kCacheShards = 8;
 
 double ms_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
@@ -37,30 +39,23 @@ ServiceConfig sanitize(ServiceConfig cfg) {
   cfg.max_batch = std::max<std::size_t>(cfg.max_batch, 1);
   cfg.queue_capacity = std::max<std::size_t>(cfg.queue_capacity, 1);
   cfg.max_delay_ms = std::max(cfg.max_delay_ms, 0.0);
-  cfg.ingest_cache_shards = std::max(cfg.ingest_cache_shards, 1);
   cfg.dispatch_shards = std::max(cfg.dispatch_shards, 1);
   cfg.admission_target_ms = std::max(cfg.admission_target_ms, 0.0);
-  cfg.max_retries = std::max(cfg.max_retries, 0);
-  cfg.retry_backoff_ms = std::max(cfg.retry_backoff_ms, 0.0);
   cfg.watchdog_ms = std::max(cfg.watchdog_ms, 0.0);
   return cfg;
 }
 
-/// Identity key for the chaos draws of one request: stable across
-/// retries of the same request, distinct across requests.
+/// Identity key for the chaos draws of one request, distinct across
+/// requests.
 std::uint64_t request_identity(const Request& r) {
   return chaos::identity_hash(!r.id.empty() ? r.id : r.matrix_path);
 }
 
-void backoff_sleep(int attempt, double backoff_ms) {
-  if (backoff_ms <= 0.0) return;
-  std::this_thread::sleep_for(
-      std::chrono::duration<double, std::milli>(backoff_ms * (attempt + 1)));
-}
-
-obs::Counter& retries_counter() {
-  static obs::Counter c = obs::MetricsRegistry::global().counter("serve.retries");
-  return c;
+/// The one chaos draw of a fault-handling stage (feature extraction,
+/// inference, materialization). A fault takes the degradation ladder on
+/// this draw; the attempt-0 key keeps the draws of earlier runs.
+chaos::Fault stage_fault(chaos::Site site, std::uint64_t identity) {
+  return chaos::hit(site, chaos::with_attempt(identity, 0));
 }
 
 std::string format_ms(double ms) {
@@ -75,8 +70,8 @@ std::string format_ms(double ms) {
 Service::Service(ServiceConfig config, ModelRegistry& registry)
     : cfg_(sanitize(config)),
       registry_(registry),
-      cache_(cfg_.cache_capacity, cfg_.cache_shards),
-      ingest_(cfg_.ingest_cache_bytes, cfg_.ingest_cache_shards),
+      cache_(cfg_.cache_capacity, kCacheShards),
+      ingest_(cfg_.ingest_cache_bytes, kCacheShards),
       pool_(cfg_.threads),
       feature_breaker_("features", cfg_.breaker),
       inference_breaker_("inference", cfg_.breaker),
@@ -241,7 +236,6 @@ Service::Counters Service::counters() const {
   c.degraded = degraded_.load(std::memory_order_relaxed);
   c.failed = failed_.load(std::memory_order_relaxed);
   c.shed = shed_.load(std::memory_order_relaxed);
-  c.retries = retried_.load(std::memory_order_relaxed);
   c.watchdog_killed = watchdog_killed_.load(std::memory_order_relaxed);
   c.breaker_trips = feature_breaker_.trips() + inference_breaker_.trips() +
                     regress_breaker_.trips() + materialize_breaker_.trips();
@@ -492,32 +486,16 @@ bool Service::resolve_features(Pending& item, Response& rsp,
       summary = cached->summary;
       rsp.cache_hit = true;
     } else {
-      // Chaos site feature_extract: transient errors retry with
-      // backoff inside the per-request budget; corruption perturbs
-      // the extracted vector (and is never cached).
-      chaos::Fault fault{};
-      bool exhausted = false;
-      for (int attempt = 0;; ++attempt) {
-        fault = chaos::hit(chaos::Site::kFeatureExtract,
-                           chaos::with_attempt(identity, attempt));
-        if (fault) chaos::apply_latency(fault);
-        if (fault.kind != chaos::FaultKind::kError) break;
-        if (rsp.retries >= cfg_.max_retries) {
-          exhausted = true;
-          break;
-        }
-        ++rsp.retries;
-        retried_.fetch_add(1, std::memory_order_relaxed);
-        retries_counter().inc();
-        backoff_sleep(attempt, cfg_.retry_backoff_ms);
-      }
-      if (exhausted) {
+      // Chaos site feature_extract: an error degrades the request;
+      // corruption perturbs the extracted vector (and is never cached).
+      const chaos::Fault fault =
+          stage_fault(chaos::Site::kFeatureExtract, identity);
+      if (fault) chaos::apply_latency(fault);
+      if (fault.kind == chaos::FaultKind::kError) {
         feature_breaker_.record(false, stage_timer.millis(), Clock::now());
         if (item.req.mode == RequestMode::kPredict) {
           rsp.ok = false;
-          rsp.error =
-              "io: injected feature-extract fault persisted past the "
-              "retry budget";
+          rsp.error = "io: injected feature-extract fault";
           return false;
         }
         csr_fallback = true;
@@ -681,24 +659,11 @@ void Service::process_batch(std::vector<Pending>& batch) {
       const auto candidates = bundle->selector->candidates();
       for (std::size_t k = 0; k < rows.size(); ++k) {
         Slot& s = slots[rows[k]];
-        const std::uint64_t identity = request_identity(batch[rows[k]].req);
         // Chaos site inference: per-request faults over the batched
-        // result. Transient errors re-roll per attempt (the labels are
-        // already computed, so a "retry" costs only the draw); a fault
-        // that outlives the budget — or a corrupted label — degrades to
-        // CSR rather than ever serving an invalid selection.
-        chaos::Fault fault{};
-        for (int attempt = 0;; ++attempt) {
-          fault = chaos::hit(chaos::Site::kInference,
-                             chaos::with_attempt(identity, attempt));
-          if (fault.kind != chaos::FaultKind::kError ||
-              s.rsp.retries >= cfg_.max_retries)
-            break;
-          ++s.rsp.retries;
-          retried_.fetch_add(1, std::memory_order_relaxed);
-          retries_counter().inc();
-          backoff_sleep(attempt, cfg_.retry_backoff_ms);
-        }
+        // result. An error or a corrupted label degrades to CSR rather
+        // than ever serving an invalid selection.
+        const chaos::Fault fault = stage_fault(
+            chaos::Site::kInference, request_identity(batch[rows[k]].req));
         if (fault) chaos::apply_latency(fault);
         const bool injected = fault.kind == chaos::FaultKind::kError ||
                               fault.kind == chaos::FaultKind::kCorrupt;
@@ -713,9 +678,7 @@ void Service::process_batch(std::vector<Pending>& batch) {
           }
           if (batch[rows[k]].req.mode == RequestMode::kPredict) {
             s.live = false;
-            s.rsp.error =
-                "model-format: injected inference fault persisted past "
-                "the retry budget";
+            s.rsp.error = "model-format: injected inference fault";
             continue;
           }
           s.csr_fallback = true;
@@ -893,29 +856,13 @@ void Service::process_batch(std::vector<Pending>& batch) {
             if (s.rsp.degrade_reason.empty())
               s.rsp.degrade_reason = "breaker:materialize";
           } else {
-            // Chaos site materialize: transient conversion faults retry
-            // with backoff; exhaustion keeps the response valid with
-            // materialized=false.
-            const std::uint64_t identity = request_identity(item.req);
-            chaos::Fault fault{};
-            bool exhausted = false;
-            for (int attempt = 0;; ++attempt) {
-              fault = chaos::hit(chaos::Site::kMaterialize,
-                                 chaos::with_attempt(identity, attempt));
-              if (fault) chaos::apply_latency(fault);
-              if (fault.kind != chaos::FaultKind::kError &&
-                  fault.kind != chaos::FaultKind::kCorrupt)
-                break;
-              if (s.rsp.retries >= cfg_.max_retries) {
-                exhausted = true;
-                break;
-              }
-              ++s.rsp.retries;
-              retried_.fetch_add(1, std::memory_order_relaxed);
-              retries_counter().inc();
-              backoff_sleep(attempt, cfg_.retry_backoff_ms);
-            }
-            if (exhausted) {
+            // Chaos site materialize: a conversion fault keeps the
+            // response valid with materialized=false.
+            const chaos::Fault fault = stage_fault(
+                chaos::Site::kMaterialize, request_identity(item.req));
+            if (fault) chaos::apply_latency(fault);
+            if (fault.kind == chaos::FaultKind::kError ||
+                fault.kind == chaos::FaultKind::kCorrupt) {
               materialize_breaker_.record(false, 0.0, Clock::now());
               s.rsp.degraded = true;
               if (s.rsp.degrade_reason.empty())

@@ -32,8 +32,8 @@
 // the deadline has already expired in the queue — the request degrades
 // to the direct classifier instead of missing the deadline entirely.
 //
-// Degradation ladder (each rung is guarded by a circuit breaker and by
-// chaos-injected faults with a bounded retry budget):
+// Degradation ladder (each rung is guarded by a circuit breaker; a
+// chaos-injected stage fault takes the next rung at once, with no retry):
 //
 //   indirect (argmin of regressors)
 //     └─> direct classifier          (regress breaker open / deadline)
@@ -91,15 +91,12 @@ struct ServiceConfig {
   /// Admission control: pending requests beyond this are rejected.
   /// The capacity is global across dispatch shards.
   std::size_t queue_capacity = 256;
-  /// Feature-cache entries (0 disables the cache) and shard count.
+  /// Feature-cache entries (0 disables the cache).
   std::size_t cache_capacity = 512;
-  int cache_shards = 8;
   /// Materialized-matrix ingest cache: byte budget for parsed CSR
   /// instances (serve --ingest-cache-mb; 0 disables caching, every load
-  /// re-parses but single-flight coalescing still applies) and its LRU
-  /// shard count.
+  /// re-parses but single-flight coalescing still applies).
   std::size_t ingest_cache_bytes = 256ull << 20;
-  int ingest_cache_shards = 8;
   /// Dispatch shards (serve --shards): independent pending queues and
   /// dispatcher threads; submit round-robins across them and idle shards
   /// steal from backlogged ones. 1 = the original single dispatcher.
@@ -117,10 +114,6 @@ struct ServiceConfig {
   /// already exceeds the deadline. 0 keeps the seed behavior (reject
   /// only when the queue is full).
   double admission_target_ms = 0.0;
-  /// Per-request transient-fault retry budget (all stages combined).
-  int max_retries = 2;
-  /// Linear backoff between retries of a faulted stage.
-  double retry_backoff_ms = 0.5;
   /// Watchdog budget: when > 0, a batch in flight longer than this while
   /// a pool worker is stuck inside one task has its requests failed
   /// cleanly. 0 disables the watchdog thread entirely.
@@ -175,7 +168,9 @@ class Service {
     std::uint64_t degraded = 0;
     std::uint64_t failed = 0;  // per-request errors (bad path, parse, ...)
     std::uint64_t shed = 0;    // admission-shed (subset of rejected)
-    std::uint64_t retries = 0;          // transient-fault retries spent
+    // Always 0 (serving does not retry faulted stages); kept only
+    // because the perfbench serve workloads read it.
+    std::uint64_t retries = 0;
     std::uint64_t watchdog_killed = 0;  // requests failed by the watchdog
     std::uint64_t breaker_trips = 0;    // sum over the stage breakers
     std::uint64_t steals = 0;  // batches an idle shard stole from another
@@ -288,7 +283,6 @@ class Service {
   std::atomic<std::uint64_t> degraded_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> retried_{0};
   std::atomic<std::uint64_t> watchdog_killed_{0};
   /// EWMA of per-item regressor cost (ms) across all formats; 0 until
   /// the first indirect/predict batch measures it.

@@ -304,9 +304,11 @@ TEST(Checkpoint, KilledRunResumesWithoutRemeasuring) {
   CollectOptions resume;
   resume.checkpoint_path = path;
   const auto resumed = collect_corpus(plan, resume);
-  // The checkpoint covered the first 8 matrices; only the rest re-ran.
-  EXPECT_EQ(resumed.stats.resumed_records, 8u);
-  EXPECT_EQ(resumed.stats.attempted, plan.size() - 8);
+  // The every-4 checkpoint covered 8 matrices when the kill hit at 10; the
+  // killed run then wrote its longest complete prefix (all 10 matrices,
+  // on the one default worker). Only the rest re-ran.
+  EXPECT_EQ(resumed.stats.resumed_records, 10u);
+  EXPECT_EQ(resumed.stats.attempted, plan.size() - 10);
   EXPECT_EQ(resumed.size(), plan.size());
 
   // Identical to an uninterrupted collection.

@@ -196,28 +196,9 @@ TEST(LabelCollector, DeterministicAcrossRuns) {
                      b.records[i].time(0, Precision::kDouble, Format::kHyb));
 }
 
-TEST(LabelCollector, BackoffDelayClampsLargeAttemptCounts) {
-  CollectOptions opts;
-  opts.backoff_base_s = 0.25;
-  opts.backoff_cap_s = 2.0;
-  EXPECT_DOUBLE_EQ(backoff_delay_s(opts, 0), 0.25);
-  EXPECT_DOUBLE_EQ(backoff_delay_s(opts, 1), 0.5);
-  EXPECT_DOUBLE_EQ(backoff_delay_s(opts, 3), 2.0);  // capped
-  // 1 << attempt would be UB from attempt 31 on; the schedule must
-  // saturate at the cap for arbitrarily large retry budgets instead.
-  for (int attempt : {31, 32, 63, 64, 100, 100000}) {
-    const double d = backoff_delay_s(opts, attempt);
-    EXPECT_TRUE(std::isfinite(d));
-    EXPECT_DOUBLE_EQ(d, 2.0);
-  }
-  opts.backoff_base_s = 0.0;
-  EXPECT_DOUBLE_EQ(backoff_delay_s(opts, 100), 0.0);
-}
-
 TEST(LabelCollector, RetryBudgetSurvivesHugeMaxRetries) {
-  // A retry budget far past the old 1 << attempt overflow point must
-  // neither crash nor change results (backoff disabled keeps it fast;
-  // the fault model resolves transients well before 40 attempts).
+  // A huge re-roll budget must neither crash nor change results (the
+  // fault model resolves transients well before 40 attempts).
   CollectOptions opts;
   opts.faults.enabled = true;
   opts.faults.transient_rate = 0.3;
@@ -227,14 +208,12 @@ TEST(LabelCollector, RetryBudgetSurvivesHugeMaxRetries) {
   EXPECT_EQ(corpus.stats.transient_cells, 0u);  // all transients resolved
 }
 
-/// Collection options with enough fault traffic to exercise the
-/// retry/backoff machinery in the parallel pipeline.
+/// Collection options with enough fault traffic to exercise transient
+/// re-rolls at every thread count.
 CollectOptions faulty_options() {
   CollectOptions opts;
   opts.faults.enabled = true;
   opts.faults.transient_rate = 0.2;
-  opts.backoff_base_s = 0.001;
-  opts.backoff_cap_s = 0.01;
   return opts;
 }
 
@@ -400,8 +379,8 @@ TEST(ParallelCollector, KillMidRunThenResumeMatchesUninterrupted) {
 }
 
 TEST(ParallelCollector, ThreadsZeroReadsEnvironment) {
-  // threads == 0 defers to SPMVML_THREADS (default 1 → serial path);
-  // either way the corpus matches the explicit serial run.
+  // threads == 0 defers to SPMVML_THREADS (default 1); either way the
+  // corpus matches the explicit one-worker run.
   const auto plan = make_small_plan(6, 11);
   CollectOptions auto_opts = faulty_options();
   auto_opts.threads = 0;

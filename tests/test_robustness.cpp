@@ -1,10 +1,10 @@
 // Chaos-hardened serving tests (DESIGN.md §5h): deterministic fault
-// replay through the Service, the degradation ladder (chaos exhaustion
-// and open breakers both land on the static CSR floor), bounded
-// retries, deadline-feasibility shedding, the batch watchdog, crash-
-// safe registry swaps with a journaled rollback, SIGTERM drain, and
-// the non-perturbation proof (chaos compiled in but disabled changes
-// no output byte).
+// replay through the Service, the degradation ladder (chaos faults and
+// open breakers both land on the static CSR floor; a materialize fault
+// serves the selection unmaterialized), deadline-feasibility shedding,
+// the batch watchdog, crash-safe registry swaps with a journaled
+// rollback, SIGTERM drain, and the non-perturbation proof (chaos
+// compiled in but disabled changes no output byte).
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -131,7 +131,7 @@ TEST(ChaosServe, SameSeedSameResponses) {
           "r" + std::to_string(k), kModes[k % 2], m.path));
       std::ostringstream fp;
       fp << r.ok << '|' << r.error << '|' << static_cast<int>(r.format) << '|'
-         << r.degraded << '|' << r.degrade_reason << '|' << r.retries;
+         << r.degraded << '|' << r.degrade_reason;
       fingerprints.push_back(fp.str());
     }
     return fingerprints;
@@ -160,7 +160,6 @@ TEST(ChaosServe, FeatureExhaustionDegradesSelectToCsrFailsPredict) {
   EXPECT_TRUE(sel.degraded);
   EXPECT_EQ(sel.degrade_reason, "chaos:feature_extract");
   EXPECT_EQ(sel.format, Format::kCsr);  // ladder floor: always valid
-  EXPECT_EQ(sel.retries, cfg.max_retries);
 
   // Predict has no degradation floor: no features means no answer.
   const Response prd =
@@ -212,36 +211,49 @@ TEST(ChaosServe, PersistentFaultsTripBreakerThenLadderShortCircuits) {
     EXPECT_EQ(r.format, Format::kCsr);
   }
   // ...but once the breaker opens the stage is no longer *tried*: the
-  // tail degrades via the breaker rung with zero retries burned.
+  // tail degrades via the breaker rung.
   EXPECT_GE(service.counters().breaker_trips, 1u);
   const Response& last = responses.back();
   EXPECT_EQ(last.degrade_reason, "breaker:features");
-  EXPECT_EQ(last.retries, 0);
 }
 
-TEST(ChaosServe, RetriesRecoverTransientFaults) {
-  TempMatrixFile m("robustness_retry.tmp.mtx", 15);
-  chaos::ScopedGlobalEngine scoped(engine_from(
-      "seed 4\nrule site=feature_extract kind=error rate=0.5\n"));
+TEST(ChaosServe, InferenceErrorDegradesToCsr) {
+  TempMatrixFile m("robustness_inf_err.tmp.mtx", 15);
+  chaos::ScopedGlobalEngine scoped(
+      engine_from("seed 4\nrule site=inference kind=error rate=1\n"));
   ModelRegistry registry;
   registry.install(tree_selector(), tree_perf());
   ServiceConfig cfg = quick_config();
-  cfg.max_retries = 3;
   cfg.breaker.window = 1000;
   Service service(cfg, registry);
 
-  bool saw_recovered_retry = false;
-  for (int k = 0; k < 24; ++k) {
-    const Response r = service.call(
-        file_request("t" + std::to_string(k), RequestMode::kSelect, m.path));
-    ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_TRUE(valid_format(r));
-    if (r.retries > 0 && !r.degraded) saw_recovered_retry = true;
-  }
-  // At rate 0.5 with 3 retries, some request faulted and then recovered
-  // un-degraded on a re-roll (chaos transients are retryable).
-  EXPECT_TRUE(saw_recovered_retry);
-  EXPECT_GT(service.counters().retries, 0u);
+  const Response r =
+      service.call(file_request("e1", RequestMode::kSelect, m.path));
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.degraded);
+  EXPECT_EQ(r.degrade_reason, "chaos:inference");
+  EXPECT_EQ(r.format, Format::kCsr);
+  EXPECT_TRUE(valid_format(r));
+}
+
+TEST(ChaosServe, MaterializeErrorServesSelectionUnmaterialized) {
+  TempMatrixFile m("robustness_mat_err.tmp.mtx", 21);
+  chaos::ScopedGlobalEngine scoped(
+      engine_from("seed 6\nrule site=materialize kind=error rate=1\n"));
+  ModelRegistry registry;
+  registry.install(tree_selector(), tree_perf());
+  ServiceConfig cfg = quick_config();
+  cfg.breaker.window = 1000;
+  Service service(cfg, registry);
+
+  Request req = file_request("x1", RequestMode::kSelect, m.path);
+  req.materialize = true;
+  const Response r = service.call(req);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.degraded);
+  EXPECT_EQ(r.degrade_reason, "chaos:materialize");
+  EXPECT_FALSE(r.materialized);
+  EXPECT_TRUE(valid_format(r));
 }
 
 // --- Admission shedding --------------------------------------------------

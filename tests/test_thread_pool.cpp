@@ -1,19 +1,15 @@
-// Thread-pool tests: task completion, wait_idle barrier semantics,
-// deadline-delayed resubmission (the backoff-yield mechanism), worker
-// identity, and tasks submitting tasks.
+// Thread-pool tests: task completion, wait_idle barrier semantics, and
+// tasks submitting tasks.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
 #include "common/gemm.hpp"
 #include "common/thread_pool.hpp"
-#include "common/timer.hpp"
 
 namespace spmvml {
 namespace {
@@ -43,72 +39,19 @@ TEST(ThreadPool, WaitIdleIsABarrier) {
   EXPECT_EQ(done.load(), 33);
 }
 
-TEST(ThreadPool, DelayedTaskRunsAfterItsDeadline) {
-  ThreadPool pool(2);
-  WallTimer timer;
-  std::atomic<double> ran_at{-1.0};
-  pool.submit_after(0.05, [&] { ran_at.store(timer.seconds()); });
-  pool.wait_idle();
-  EXPECT_GE(ran_at.load(), 0.05);
-  EXPECT_LT(ran_at.load(), 1.0);  // generous upper bound for CI jitter
-}
-
-TEST(ThreadPool, DelayedTasksDoNotStallImmediateWork) {
-  // One long-delayed task must not block the other worker's throughput —
-  // this is the property that lets backoff waits overlap real work.
-  ThreadPool pool(2);
-  std::atomic<int> immediate{0};
-  pool.submit_after(0.2, [] {});
-  WallTimer timer;
-  for (int i = 0; i < 50; ++i)
-    pool.submit([&immediate] { immediate.fetch_add(1); });
-  while (immediate.load() < 50 && timer.seconds() < 5.0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  // All immediate tasks finished long before the delayed task's deadline.
-  EXPECT_EQ(immediate.load(), 50);
-  EXPECT_LT(timer.seconds(), 0.2);
-  pool.wait_idle();
-}
-
 TEST(ThreadPool, WaitIdleCoversTasksSubmittedByTasks) {
   ThreadPool pool(3);
   std::atomic<int> count{0};
-  // A resumable-task chain: each stage requeues the next with a deadline.
+  // A task chain: each stage submits the next.
   pool.submit([&] {
     count.fetch_add(1);
-    pool.submit_after(0.01, [&] {
+    pool.submit([&] {
       count.fetch_add(1);
       pool.submit([&] { count.fetch_add(1); });
     });
   });
   pool.wait_idle();
   EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPool, ZeroAndNegativeDelayDegradeToSubmit) {
-  ThreadPool pool(1);
-  std::atomic<int> count{0};
-  pool.submit_after(0.0, [&] { count.fetch_add(1); });
-  pool.submit_after(-1.0, [&] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPool, WorkerIndexIsStableAndInRange) {
-  ThreadPool pool(4);
-  EXPECT_EQ(ThreadPool::worker_index(), -1);  // not a pool thread
-  std::mutex mu;
-  std::set<int> seen;
-  for (int i = 0; i < 64; ++i)
-    pool.submit([&] {
-      const int idx = ThreadPool::worker_index();
-      std::lock_guard<std::mutex> lock(mu);
-      seen.insert(idx);
-    });
-  pool.wait_idle();
-  ASSERT_FALSE(seen.empty());
-  EXPECT_GE(*seen.begin(), 0);
-  EXPECT_LT(*seen.rbegin(), pool.size());
 }
 
 TEST(ThreadPool, SingleThreadPoolStillCompletes) {

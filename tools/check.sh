@@ -6,8 +6,9 @@
 #                             # -fsanitize=address,undefined
 #   tools/check.sh --tsan     # ThreadSanitizer over the concurrency tests
 #                             # (thread pool, parallel_for and the parallel
-#                             # SpMV kernels, parallel collection, logger +
-#                             # sharded metrics, concurrent arenas, MLP and
+#                             # SpMV kernels, corpus collection at every
+#                             # thread count, logger + sharded metrics,
+#                             # concurrent arenas, MLP and
 #                             # per-format perf-model fits, feature
 #                             # extraction, the online-learning loop)
 #   tools/check.sh --simd-off # full suite with -DSPMVML_FORCE_SCALAR=ON:
@@ -45,7 +46,7 @@ elif [[ "${1:-}" == "--tsan" ]]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'ThreadPool|ParallelCollector|Parallel\.|Obs|Serve|Ingest|Arena|Differential|Chaos|Breaker|Drain|Learn|Replay|Drift|Sell|ParallelSpmv|Mlp|PerfModel|Features'
+    -R 'ThreadPool|ParallelCollector|LabelCollector|FaultyCollection|Checkpoint|Parallel\.|Obs|Serve|Ingest|Arena|Differential|Chaos|Breaker|Drain|Learn|Replay|Drift|Sell|ParallelSpmv|Mlp|PerfModel|Features'
 elif [[ "${1:-}" == "--chaos" ]]; then
   echo "== chaos smoke (asan; scripted fault bursts + robustness tests) =="
   cmake -B build-chaos -S . "-DSPMVML_SANITIZE=address;undefined" \

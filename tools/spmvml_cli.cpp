@@ -97,7 +97,7 @@ namespace {
                "[--precision ...]\n"
                "                    [--ingest-cache-mb N] [--shards N]\n"
                "                    [--admission-target-ms F] "
-               "[--watchdog-ms F] [--max-retries N]\n"
+               "[--watchdog-ms F]\n"
                "                    [--trace-sample N] [--stats-every-s F] "
                "[--stats-file <file>]\n"
                "                    [--learn] [--replay-cap N] "
@@ -240,8 +240,9 @@ ModelKind model_of(const Args& a) {
 
 LabeledCorpus corpus_of(const Args& a) {
   const double scale = numeric_opt(a, "scale", 0.25, 1e-4, 100.0);
-  // 0 defers to SPMVML_THREADS (default 1 = serial). Parallel collection
-  // produces byte-identical corpora, so this is purely a speed knob.
+  // 0 defers to SPMVML_THREADS (default 1). Collection produces
+  // byte-identical corpora at every thread count, so this is purely a
+  // speed knob.
   const int threads =
       static_cast<int>(numeric_opt(a, "threads", 0.0, 0.0, 256.0));
   obs::log_info("cli.collect").kv("scale", scale).kv("threads", threads);
@@ -442,8 +443,6 @@ int cmd_serve(const Args& a) {
   cfg.admission_target_ms =
       numeric_opt(a, "admission-target-ms", 0.0, 0.0, 1e6);
   cfg.watchdog_ms = numeric_opt(a, "watchdog-ms", 0.0, 0.0, 1e6);
-  cfg.max_retries =
-      static_cast<int>(numeric_opt(a, "max-retries", 2.0, 0.0, 100.0));
 
   // Online learning loop (DESIGN.md §5k): flag > env > default, like
   // every other serving knob. --learn (SPMVML_LEARN=1) turns on shadow
@@ -590,7 +589,6 @@ int cmd_serve(const Args& a) {
         w.kv("degraded", counters.degraded);
         w.kv("failed", counters.failed);
         w.kv("shed", counters.shed);
-        w.kv("retries", counters.retries);
         w.kv("watchdog_killed", counters.watchdog_killed);
         w.kv("breaker_trips", counters.breaker_trips);
         w.kv("steals", counters.steals);
@@ -656,7 +654,6 @@ int cmd_serve(const Args& a) {
       .kv("degraded", counters.degraded)
       .kv("failed", counters.failed)
       .kv("shed", counters.shed)
-      .kv("retries", counters.retries)
       .kv("watchdog_killed", counters.watchdog_killed)
       .kv("breaker_trips", counters.breaker_trips)
       .kv("steals", counters.steals);
