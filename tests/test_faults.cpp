@@ -180,6 +180,63 @@ TEST(FaultyCollection, RetriesRecoverMostTransients) {
   EXPECT_LT(with.stats.failed_cells, without.stats.failed_cells);
 }
 
+TEST(FaultyCollection, OneReRollPerCellThatFailedItsFirstDraw) {
+  // Re-rolls happen in place, one per failed draw: with a budget of 1,
+  // exactly the cells that are transient on attempt 0 are re-rolled once,
+  // and only they can still be invalid afterwards.
+  const auto plan = make_small_plan(10, 515);
+  CollectOptions first_draw;
+  first_draw.faults.enabled = true;
+  first_draw.faults.transient_rate = 0.3;
+  first_draw.max_retries = 0;
+  const auto zero = collect_corpus(plan, first_draw);
+  EXPECT_EQ(zero.stats.transient_retries, 0u);
+  ASSERT_GT(zero.stats.transient_cells, 0u);
+
+  CollectOptions one_reroll = first_draw;
+  one_reroll.max_retries = 1;
+  const auto one = collect_corpus(plan, one_reroll);
+  EXPECT_EQ(one.stats.transient_retries, zero.stats.transient_cells);
+  EXPECT_LT(one.stats.transient_cells, zero.stats.transient_cells);
+
+  ASSERT_EQ(one.size(), zero.size());
+  for (std::size_t i = 0; i < one.size(); ++i)
+    for (int a = 0; a < kNumArchs; ++a)
+      for (int p = 0; p < kNumPrecisions; ++p)
+        for (Format f : kAllFormats) {
+          const auto prec = static_cast<Precision>(p);
+          if (zero.records[i].valid(a, prec, f)) {
+            // A first-draw success is never re-rolled: same measurement.
+            ASSERT_TRUE(one.records[i].valid(a, prec, f));
+            EXPECT_EQ(one.records[i].time(a, prec, f),
+                      zero.records[i].time(a, prec, f));
+          }
+        }
+}
+
+TEST(FaultyCollection, AllFailedMatricesAreDroppedAtEveryThreadCount) {
+  // A 1-byte device makes every cell OOM (not retryable): no matrix has
+  // a usable cell, so each is dropped and counted as such at any thread
+  // count.
+  const auto plan = make_small_plan(6, 808);
+  for (int threads : {1, 3}) {
+    CollectOptions opts;
+    opts.faults.enabled = true;
+    opts.faults.device_memory_override = 1;
+    opts.threads = threads;
+    const auto corpus = collect_corpus(plan, opts);
+    EXPECT_EQ(corpus.size(), 0u) << "threads " << threads;
+    EXPECT_EQ(corpus.stats.attempted, plan.size());
+    EXPECT_EQ(corpus.stats.kept, 0u);
+    EXPECT_EQ(corpus.stats.dropped_all_failed, plan.size());
+    const std::size_t cells = plan.size() * kNumArchs * kNumPrecisions *
+                              static_cast<std::size_t>(kNumFormats);
+    EXPECT_EQ(corpus.stats.failed_cells, cells);
+    EXPECT_EQ(corpus.stats.oom_cells, cells);
+    EXPECT_EQ(corpus.stats.transient_retries, 0u);
+  }
+}
+
 TEST(FaultyCollection, NanCellsRoundTripThroughCsv) {
   const auto plan = make_small_plan(8, 4242);
   CollectOptions opts;

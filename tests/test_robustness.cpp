@@ -256,6 +256,82 @@ TEST(ChaosServe, MaterializeErrorServesSelectionUnmaterialized) {
   EXPECT_TRUE(valid_format(r));
 }
 
+TEST(ChaosServe, FirstDrawDecidesEachRequestsFeatureFault) {
+  // Half the requests draw a feature fault. Each one is decided by its
+  // single draw: a faulted request takes the ladder, an unfaulted one is
+  // served exactly as without chaos, and re-sending the same id replays
+  // the same outcome.
+  TempMatrixFile m("robustness_half.tmp.mtx", 22);
+  ModelRegistry registry;
+  registry.install(tree_selector(), tree_perf());
+  ServiceConfig cfg = quick_config();
+  cfg.breaker.window = 1000;
+
+  Format clean_format;
+  {
+    Service clean(cfg, registry);
+    const Response r =
+        clean.call(file_request("clean", RequestMode::kSelect, m.path));
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_FALSE(r.degraded);
+    clean_format = r.format;
+  }
+
+  chaos::ScopedGlobalEngine scoped(engine_from(
+      "seed 7\nrule site=feature_extract kind=error rate=0.5\n"));
+  Service service(cfg, registry);
+  int degraded = 0;
+  for (int k = 0; k < 24; ++k) {
+    const std::string id = "h" + std::to_string(k);
+    const Response r =
+        service.call(file_request(id, RequestMode::kSelect, m.path));
+    ASSERT_TRUE(r.ok) << r.error;
+    if (r.degraded) {
+      ++degraded;
+      EXPECT_EQ(r.degrade_reason, "chaos:feature_extract");
+      EXPECT_EQ(r.format, Format::kCsr);
+    } else {
+      EXPECT_EQ(r.format, clean_format);
+    }
+    const Response again =
+        service.call(file_request(id, RequestMode::kSelect, m.path));
+    EXPECT_EQ(again.degraded, r.degraded) << id;
+    EXPECT_EQ(again.format, r.format) << id;
+  }
+  EXPECT_GT(degraded, 0);
+  EXPECT_LT(degraded, 24);
+}
+
+TEST(ChaosServe, StageErrorsNeverCountRetries) {
+  // Counters::retries is kept for its readers but serving never retries:
+  // error faults at every stage leave it at zero.
+  TempMatrixFile m("robustness_noretry.tmp.mtx", 23);
+  chaos::ScopedGlobalEngine scoped(engine_from(
+      "seed 8\n"
+      "rule site=feature_extract kind=error rate=0.3\n"
+      "rule site=inference kind=error rate=0.3\n"
+      "rule site=materialize kind=error rate=0.3\n"));
+  ModelRegistry registry;
+  registry.install(tree_selector(), tree_perf());
+  ServiceConfig cfg = quick_config();
+  cfg.breaker.window = 1000;
+  Service service(cfg, registry);
+
+  for (int k = 0; k < 16; ++k) {
+    Request req = file_request("n" + std::to_string(k),
+                               k % 2 ? RequestMode::kIndirect
+                                     : RequestMode::kSelect,
+                               m.path);
+    req.materialize = true;
+    const Response r = service.call(req);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(valid_format(r));
+  }
+  const auto counters = service.counters();
+  EXPECT_GT(counters.degraded, 0u);
+  EXPECT_EQ(counters.retries, 0u);
+}
+
 // --- Admission shedding --------------------------------------------------
 
 TEST(ChaosServe, OverloadShedsAtAdmissionWithReasonCode) {

@@ -1,5 +1,5 @@
-// Thread-pool tests: task completion, wait_idle barrier semantics, and
-// tasks submitting tasks.
+// Thread-pool tests: task completion, wait_idle barrier semantics, tasks
+// submitting tasks, worker heartbeats, and draining on destruction.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -63,6 +63,50 @@ TEST(ThreadPool, SingleThreadPoolStillCompletes) {
   // One worker drains the FIFO in submission order.
   ASSERT_EQ(order.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+TEST(ThreadPool, HeartbeatsShowTheWorkerInsideATask) {
+  ThreadPool pool(3);
+  auto beats = pool.heartbeats();
+  ASSERT_EQ(beats.size(), 3u);
+  for (const auto& b : beats) {
+    EXPECT_FALSE(b.busy);
+    EXPECT_EQ(b.busy_s, 0.0);
+  }
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  pool.submit([&] {
+    started.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  beats = pool.heartbeats();
+  int busy = 0;
+  for (const auto& b : beats)
+    if (b.busy) {
+      ++busy;
+      EXPECT_GT(b.busy_s, 0.0);
+    }
+  EXPECT_EQ(busy, 1);
+
+  release.store(true);
+  pool.wait_idle();
+  for (const auto& b : pool.heartbeats()) EXPECT_FALSE(b.busy);
+}
+
+TEST(ThreadPool, DestructorFinishesQueuedTasks) {
+  std::atomic<int> done{0};
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 40; ++i)
+      pool.submit([&done] {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        done.fetch_add(1);
+      });
+  }  // no wait_idle: destruction drains the queue before joining
+  EXPECT_EQ(done.load(), 40);
 }
 
 TEST(Gemm, MatchesNaiveReference) {
