@@ -12,7 +12,6 @@ namespace {
 BreakerConfig sanitize(BreakerConfig cfg) {
   cfg.window = std::max(cfg.window, 1);
   cfg.error_threshold = std::clamp(cfg.error_threshold, 0.0, 1.0);
-  cfg.ewma_alpha = std::clamp(cfg.ewma_alpha, 0.01, 1.0);
   cfg.open_cooldown_ms = std::max(cfg.open_cooldown_ms, 0.0);
   cfg.half_open_probes = std::max(cfg.half_open_probes, 1);
   return cfg;
@@ -51,9 +50,7 @@ void CircuitBreaker::trip(Clock::time_point now) {
   obs::MetricsRegistry::global()
       .counter("serve.breaker." + name_ + ".trips")
       .inc();
-  obs::log_warn("serve.breaker.open")
-      .kv("stage", name_)
-      .kv("latency_ewma_ms", latency_ewma_ms_);
+  obs::log_warn("serve.breaker.open").kv("stage", name_);
 }
 
 bool CircuitBreaker::allow(Clock::time_point now) {
@@ -76,17 +73,8 @@ bool CircuitBreaker::allow(Clock::time_point now) {
   return true;
 }
 
-void CircuitBreaker::record(bool ok, double latency_ms,
-                            Clock::time_point now) {
+void CircuitBreaker::record(bool ok, Clock::time_point now) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (latency_ms >= 0.0) {
-    latency_ewma_ms_ = have_latency_
-                           ? (1.0 - cfg_.ewma_alpha) * latency_ewma_ms_ +
-                                 cfg_.ewma_alpha * latency_ms
-                           : latency_ms;
-    have_latency_ = true;
-  }
-
   if (state_ == BreakerState::kHalfOpen) {
     if (!ok) {
       trip(now);  // a failed probe reopens; the cooldown restarts
@@ -104,14 +92,7 @@ void CircuitBreaker::record(bool ok, double latency_ms,
   if (state_ != BreakerState::kClosed) return;  // open: stale outcome
 
   ++window_total_;
-  ++samples_;
   if (!ok) ++window_errors_;
-  if (cfg_.latency_threshold_ms > 0.0 && have_latency_ &&
-      latency_ewma_ms_ > cfg_.latency_threshold_ms &&
-      samples_ >= static_cast<std::uint64_t>(cfg_.window)) {
-    trip(now);
-    return;
-  }
   if (window_total_ >= static_cast<std::uint64_t>(cfg_.window)) {
     const double frac = static_cast<double>(window_errors_) /
                         static_cast<double>(window_total_);
@@ -128,11 +109,6 @@ void CircuitBreaker::record(bool ok, double latency_ms,
 BreakerState CircuitBreaker::state() const {
   std::lock_guard<std::mutex> lock(mu_);
   return state_;
-}
-
-double CircuitBreaker::latency_ewma_ms() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return latency_ewma_ms_;
 }
 
 std::uint64_t CircuitBreaker::trips() const {

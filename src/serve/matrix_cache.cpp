@@ -88,33 +88,61 @@ std::optional<MatrixCache::FileId> MatrixCache::file_identity(
   return id;
 }
 
+std::optional<std::uint64_t> MatrixCache::stat_key(const std::string& path,
+                                                   const FileId& id) {
+  std::lock_guard<std::mutex> lock(stat_mu_);
+  const auto it = stat_cache_.find(path);
+  if (it == stat_cache_.end() || !(it->second.id == id)) return std::nullopt;
+  return it->second.key;
+}
+
 std::optional<std::uint64_t> MatrixCache::resolve_key(const std::string& path) {
   const auto id = file_identity(path);
   if (!id) return std::nullopt;
-  std::lock_guard<std::mutex> lock(stat_mu_);
-  const auto it = stat_cache_.find(path);
-  if (it == stat_cache_.end() || !(it->second.id == *id)) return std::nullopt;
-  return it->second.key;
+  return stat_key(path, *id);
 }
 
 std::optional<std::shared_ptr<const Csr<double>>> MatrixCache::get(
     std::uint64_t key) {
+  return lookup(key, /*count=*/true);
+}
+
+std::optional<std::shared_ptr<const Csr<double>>> MatrixCache::lookup(
+    std::uint64_t key, bool count) {
   if (shards_.empty()) {
-    miss_counter().inc();
+    if (count) miss_counter().inc();
     return std::nullopt;
   }
   Shard& s = shard_for(key);
   std::lock_guard<std::mutex> lock(s.mu);
   const auto it = s.index.find(key);
   if (it == s.index.end()) {
-    ++s.misses;
-    miss_counter().inc();
+    if (count) {
+      ++s.misses;
+      miss_counter().inc();
+    }
     return std::nullopt;
   }
   s.lru.splice(s.lru.begin(), s.lru, it->second);  // move to front
-  ++s.hits;
-  hit_counter().inc();
+  if (count) {
+    ++s.hits;
+    hit_counter().inc();
+  }
   return it->second->second.matrix;
+}
+
+std::optional<MatrixCache::View> MatrixCache::cached(const std::string& path,
+                                                     const FileId& id,
+                                                     bool count) {
+  const auto key = stat_key(path, id);
+  if (!key) return std::nullopt;
+  auto matrix = lookup(*key, count);
+  if (!matrix) return std::nullopt;
+  View view;
+  view.matrix = std::move(*matrix);
+  view.key = *key;
+  view.cache_hit = true;
+  return view;
 }
 
 void MatrixCache::put(std::uint64_t key,
@@ -188,25 +216,8 @@ MatrixCache::View MatrixCache::parse(const std::string& path,
 
 MatrixCache::View MatrixCache::load(const std::string& path) {
   // Fast path: stat-cache key + LRU hit — no file opened at all.
-  const auto id = file_identity(path);
-  if (id) {
-    std::optional<std::uint64_t> key;
-    {
-      std::lock_guard<std::mutex> lock(stat_mu_);
-      const auto it = stat_cache_.find(path);
-      if (it != stat_cache_.end() && it->second.id == *id)
-        key = it->second.key;
-    }
-    if (key) {
-      if (auto cached = get(*key)) {
-        View view;
-        view.matrix = std::move(*cached);
-        view.key = *key;
-        view.cache_hit = true;
-        return view;
-      }
-    }
-  }
+  if (const auto id = file_identity(path))
+    if (auto view = cached(path, *id, /*count=*/true)) return *view;
 
   // Miss (or unknown file): single-flight on the path. The first comer
   // parses; everyone else waits on its future and shares the result —
@@ -231,18 +242,26 @@ MatrixCache::View MatrixCache::load(const std::string& path) {
     // Stat again inside the flight (the earlier stat may have failed —
     // that failure must surface as the reader's kIo, not silently).
     const auto fresh = file_identity(path);
-    View view = parse(path, fresh.value_or(FileId{}));
-    put(view.key, view.matrix);
-    if (fresh) {
-      std::lock_guard<std::mutex> lock(stat_mu_);
-      stat_cache_[path] = StatEntry{*fresh, view.key};
+    // A caller that missed the fast path just before the previous leader
+    // published, and took the lead just after it finished, finds the
+    // result cached here instead of parsing the file a second time. The
+    // fast path already counted this load's LRU lookup.
+    std::optional<View> view;
+    if (fresh) view = cached(path, *fresh, /*count=*/false);
+    if (!view) {
+      view = parse(path, fresh.value_or(FileId{}));
+      put(view->key, view->matrix);
+      if (fresh) {
+        std::lock_guard<std::mutex> lock(stat_mu_);
+        stat_cache_[path] = StatEntry{*fresh, view->key};
+      }
     }
-    flight->promise.set_value(view);
+    flight->promise.set_value(*view);
     {
       std::lock_guard<std::mutex> lock(flight_mu_);
       flights_.erase(path);
     }
-    return view;
+    return *view;
   } catch (...) {
     flight->promise.set_exception(std::current_exception());
     {

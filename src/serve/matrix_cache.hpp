@@ -131,6 +131,15 @@ class MatrixCache {
   /// Current on-disk identity of `path` (+ its sidecar). nullopt when the
   /// matrix file cannot be statted.
   static std::optional<FileId> file_identity(const std::string& path);
+  /// The content key the stat cache maps `path` at identity `id` to.
+  std::optional<std::uint64_t> stat_key(const std::string& path,
+                                        const FileId& id);
+  /// LRU lookup; `count` records it in the hit/miss statistics.
+  std::optional<std::shared_ptr<const Csr<double>>> lookup(std::uint64_t key,
+                                                           bool count);
+  /// The cached view of `path` at `id`: stat-cache key, then LRU.
+  std::optional<View> cached(const std::string& path, const FileId& id,
+                             bool count);
   /// The parse itself: sidecar-or-mmio with transparent fallback.
   View parse(const std::string& path, const FileId& id);
 

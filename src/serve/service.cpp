@@ -52,11 +52,83 @@ std::uint64_t request_identity(const Request& r) {
 }
 
 /// The one chaos draw of a fault-handling stage (feature extraction,
-/// inference, materialization). A fault takes the degradation ladder on
-/// this draw; the attempt-0 key keeps the draws of earlier runs.
+/// inference, materialization), its latency already applied. A fault
+/// takes the degradation ladder on this draw; the attempt-0 key keeps the
+/// draws of earlier runs.
 chaos::Fault stage_fault(chaos::Site site, std::uint64_t identity) {
-  return chaos::hit(site, chaos::with_attempt(identity, 0));
+  const chaos::Fault fault = chaos::hit(site, chaos::with_attempt(identity, 0));
+  if (fault) chaos::apply_latency(fault);
+  return fault;
 }
+
+/// An injected error or corruption: the stage's output is unusable.
+bool breaks(const chaos::Fault& f) {
+  return f.kind == chaos::FaultKind::kError ||
+         f.kind == chaos::FaultKind::kCorrupt;
+}
+
+/// A failed request's error text: "<category>: <what>".
+std::string error_text(const std::exception& e) {
+  const auto* err = dynamic_cast<const Error*>(&e);
+  return std::string(err != nullptr ? error_category_name(err->category())
+                                    : "generic") +
+         ": " + e.what();
+}
+
+/// Predicted SpMV time (us) of every format the perf model covers.
+std::vector<std::pair<Format, double>> price_formats(
+    const PerfModel& perf, const FeatureVector& features) {
+  const auto formats = perf.formats();
+  std::vector<std::pair<Format, double>> priced;
+  priced.reserve(formats.size());
+  for (const Format f : formats)
+    priced.emplace_back(f, perf.predict_seconds(features, f) * 1e6);
+  return priced;
+}
+
+/// Where an outage leaves a request (DESIGN.md §5h): the direct
+/// classifier pick (no regressor pass), the static CSR floor (needs no
+/// model and no features, so it is always valid), or the selection
+/// served unmaterialized (the caller builds the format itself).
+enum class Rung { kDirect, kCsrFloor, kUnmaterialized };
+
+/// Every way a request leaves its route; indexes kLadder.
+enum class Outage {
+  kFeatureBreaker,
+  kFeatureFault,
+  kInferenceBreaker,
+  kInferenceFault,
+  kNoPerfModel,
+  kDeadline,
+  kMaterializeBreaker,
+  kMaterializeFault,
+};
+
+struct LadderStep {
+  Rung rung;
+  const char* degrade_reason;
+  /// Predict's error on a rung it cannot take. Empty where predict never
+  /// fails: it ignores deadlines, and unmaterialized it still answers.
+  const char* predict_error;
+};
+
+constexpr LadderStep kLadder[] = {
+    {Rung::kCsrFloor, "breaker:features",
+     "unavailable: feature stage breaker open (predict has no degradation "
+     "floor)"},
+    {Rung::kCsrFloor, "chaos:feature_extract",
+     "io: injected feature-extract fault"},
+    {Rung::kCsrFloor, "breaker:inference",
+     "unavailable: inference breaker open (predict has no degradation "
+     "floor)"},
+    {Rung::kCsrFloor, "chaos:inference",
+     "model-format: injected inference fault"},
+    {Rung::kDirect, "no_perf_model",
+     "model-format: no perf model installed (predict needs --perf-model)"},
+    {Rung::kDirect, "deadline", ""},
+    {Rung::kUnmaterialized, "breaker:materialize", ""},
+    {Rung::kUnmaterialized, "chaos:materialize", ""},
+};
 
 std::string format_ms(double ms) {
   std::ostringstream os;
@@ -75,7 +147,6 @@ Service::Service(ServiceConfig config, ModelRegistry& registry)
       pool_(cfg_.threads),
       feature_breaker_("features", cfg_.breaker),
       inference_breaker_("inference", cfg_.breaker),
-      regress_breaker_("regress", cfg_.breaker),
       materialize_breaker_("materialize", cfg_.breaker) {
   const auto n_shards = static_cast<std::size_t>(cfg_.dispatch_shards);
   shards_.reserve(n_shards);
@@ -238,7 +309,7 @@ Service::Counters Service::counters() const {
   c.shed = shed_.load(std::memory_order_relaxed);
   c.watchdog_killed = watchdog_killed_.load(std::memory_order_relaxed);
   c.breaker_trips = feature_breaker_.trips() + inference_breaker_.trips() +
-                    regress_breaker_.trips() + materialize_breaker_.trips();
+                    materialize_breaker_.trips();
   c.steals = steals_.load(std::memory_order_relaxed);
   return c;
 }
@@ -388,57 +459,81 @@ void Service::kill_overdue(Clock::time_point now) {
   }
 }
 
-bool Service::resolve_features(Pending& item, Response& rsp,
-                               FeatureVector& features, RowSummary& summary,
-                               bool& has_summary, bool& csr_fallback,
-                               std::shared_ptr<const Csr<double>>* keep_view) {
-  has_summary = false;
-  csr_fallback = false;
-  const bool inline_features = !item.req.features.empty();
-  if (inline_features)
-    std::copy(item.req.features.begin(), item.req.features.end(),
-              features.values.begin());
-  if (inline_features && keep_view == nullptr) return true;
+/// One request's record across the batch stages.
+struct Service::Slot {
+  Pending* item = nullptr;
+  Response rsp;
+  FeatureVector features;
+  RowSummary summary;
+  /// Borrowed ingest view, kept only for materialize requests. Pins the
+  /// CSR against cache eviction for the life of the batch.
+  std::shared_ptr<const Csr<double>> view;
+  /// Memory-budget gate (empty when unconstrained or no summary).
+  FeasibilityFn feasible;
+  bool has_summary = false;
+  bool live = false;          // resolved and awaiting predictions
+  bool indirect = false;      // gets the regressor pass
+  bool csr_fallback = false;  // bottom rung: static CSR, no model pass
+  bool counted = false;       // select_feasible() bumped serve.select
 
-  if (inline_features) {
-    // Inline features + materialize: only the CSR master copy is needed,
-    // and it comes from the ingest cache — a repeat matrix costs zero
-    // parses (this path used to re-read the text file every request).
-    try {
-      *keep_view = ingest_.load(item.req.matrix_path).matrix;
-      return true;
-    } catch (const Error& e) {
-      rsp.ok = false;
-      rsp.error = std::string(error_category_name(e.category())) + ": " +
-                  e.what();
-      return false;
-    } catch (const std::exception& e) {
-      rsp.ok = false;
-      rsp.error = std::string("generic: ") + e.what();
-      return false;
+  /// Take the ladder for `o`: the one place an outage picks a rung.
+  /// Predict returns the per-format times, so it has no floor below its
+  /// own route: above the unmaterialized rung it fails instead.
+  void take(Outage o) {
+    const LadderStep& step = kLadder[static_cast<int>(o)];
+    if (step.rung != Rung::kUnmaterialized &&
+        item->req.mode == RequestMode::kPredict) {
+      live = false;
+      rsp.error = step.predict_error;
+      return;
     }
-  }
-
-  if (!feature_breaker_.allow(Clock::now())) {
-    // Feature stage is down: walk to the bottom rung of the ladder
-    // instead of hammering it. CSR needs no features, so select and
-    // indirect stay answerable; predict has no floor to stand on.
-    if (item.req.mode == RequestMode::kPredict) {
-      rsp.ok = false;
-      rsp.error =
-          "unavailable: feature stage breaker open (predict has no "
-          "degradation floor)";
-      return false;
-    }
-    csr_fallback = true;
     rsp.degraded = true;
-    rsp.degrade_reason = "breaker:features";
-    return false;
+    if (rsp.degrade_reason.empty()) rsp.degrade_reason = step.degrade_reason;
+    if (step.rung == Rung::kCsrFloor) {
+      live = false;
+      csr_fallback = true;
+    }
   }
 
-  const std::uint64_t identity = request_identity(item.req);
+  void fail(const std::exception& e) {
+    live = false;
+    rsp.ok = false;
+    rsp.error = error_text(e);
+  }
+};
+
+/// One batch on its way through the stages. Every request in it shares
+/// the stage times, reported as the response's "stage_ms".
+struct Service::Batch {
+  std::shared_ptr<const ModelBundle> bundle;
+  Clock::time_point picked_up;
+  bool tracing = false;
+  std::vector<Slot> slots;
+  double features_ms = 0.0;
+  double classify_ms = 0.0;
+  double regress_ms = 0.0;
+  double finalize_ms = 0.0;
+};
+
+void Service::resolve_features(Slot& s) {
+  const Request& req = s.item->req;
   try {
-    WallTimer stage_timer;
+    if (!req.features.empty()) {
+      std::copy(req.features.begin(), req.features.end(),
+                s.features.values.begin());
+      // Inline features + materialize: only the CSR master copy is
+      // needed, and it comes from the ingest cache — a repeat matrix
+      // costs zero parses.
+      if (req.materialize) s.view = ingest_.load(req.matrix_path).matrix;
+      s.live = true;
+      return;
+    }
+
+    // Feature stage down: take the ladder instead of hammering it.
+    if (!feature_breaker_.allow(Clock::now()))
+      return s.take(Outage::kFeatureBreaker);
+
+    const std::uint64_t identity = request_identity(req);
     // Chaos site cache_lookup: a failed cache shard fails open to a
     // miss — features are recomputed, never served stale or wrong.
     bool cache_usable = true;
@@ -446,115 +541,93 @@ bool Service::resolve_features(Pending& item, Response& rsp,
         chaos::hit(chaos::Site::kCacheLookup, identity);
     if (cache_fault) {
       chaos::apply_latency(cache_fault);
-      if (cache_fault.kind != chaos::FaultKind::kLatency)
-        cache_usable = false;
+      if (cache_fault.kind != chaos::FaultKind::kLatency) cache_usable = false;
     }
 
     // Zero-copy fast path: resolve the content key from the stat cache
     // (two stat() calls, no reads) and serve cached features without
     // ever touching the matrix bytes. Warm repeat traffic does no file
     // I/O at all on this route.
-    if (cache_usable) {
-      if (const auto key = ingest_.resolve_key(item.req.matrix_path)) {
-        if (std::optional<CachedFeatures> cached = cache_.get(*key)) {
-          features = cached->features;
-          summary = cached->summary;
-          rsp.cache_hit = true;
-          has_summary = true;
-          feature_breaker_.record(true, stage_timer.millis(), Clock::now());
-          if (keep_view != nullptr)
-            *keep_view = ingest_.load(item.req.matrix_path).matrix;
-          return true;
+    std::optional<CachedFeatures> cached;
+    if (cache_usable)
+      if (const auto key = ingest_.resolve_key(req.matrix_path))
+        cached = cache_.get(*key);
+    std::shared_ptr<const Csr<double>> matrix;
+    if (!cached) {
+      // Feature miss (or the cache is chaos-disabled): materialize the
+      // matrix through the ingest cache — LRU hit, sidecar bulk read, or
+      // text parse, whichever is cheapest — then extract. A file that
+      // cannot be read or parsed is the client's error: it fails this
+      // request and never counts against the stage's breaker.
+      MatrixCache::View loaded = ingest_.load(req.matrix_path);
+      matrix = std::move(loaded.matrix);
+      if (cache_usable) cached = cache_.get(loaded.key);
+      if (!cached) {
+        // Chaos site feature_extract: an error degrades the request;
+        // corruption perturbs the extracted vector (and is never cached).
+        const chaos::Fault fault =
+            stage_fault(chaos::Site::kFeatureExtract, identity);
+        if (fault.kind == chaos::FaultKind::kError) {
+          feature_breaker_.record(false, Clock::now());
+          if (req.materialize) s.view = std::move(matrix);
+          return s.take(Outage::kFeatureFault);
+        }
+        // In-batch parallel extraction: this worker scans blocks too, so
+        // a busy parallel_for pool degrades to the serial scan, never a
+        // wait.
+        s.features = extract_features(*matrix);
+        s.summary = summarize(*matrix);
+        if (fault.kind == chaos::FaultKind::kCorrupt) {
+          // Corrupted extraction: every value off by a sign flip. The
+          // classifier still yields an in-range label (possibly a bad
+          // pick — chaos tests assert validity, not optimality) and the
+          // poisoned vector must never enter the cache.
+          for (double& v : s.features.values) v = -v;
+        } else {
+          cache_.put(loaded.key, CachedFeatures{s.features, s.summary});
         }
       }
     }
-
-    // Feature miss (or the cache is chaos-disabled): materialize the
-    // matrix through the ingest cache — LRU hit, sidecar bulk read, or
-    // text parse, whichever is cheapest — then extract.
-    std::shared_ptr<const Csr<double>> view;
-    std::uint64_t content_key = 0;
-    {
-      MatrixCache::View loaded = ingest_.load(item.req.matrix_path);
-      view = std::move(loaded.matrix);
-      content_key = loaded.key;
-    }
-    std::optional<CachedFeatures> cached =
-        cache_usable ? cache_.get(content_key) : std::nullopt;
     if (cached) {
-      features = cached->features;
-      summary = cached->summary;
-      rsp.cache_hit = true;
-    } else {
-      // Chaos site feature_extract: an error degrades the request;
-      // corruption perturbs the extracted vector (and is never cached).
-      const chaos::Fault fault =
-          stage_fault(chaos::Site::kFeatureExtract, identity);
-      if (fault) chaos::apply_latency(fault);
-      if (fault.kind == chaos::FaultKind::kError) {
-        feature_breaker_.record(false, stage_timer.millis(), Clock::now());
-        if (item.req.mode == RequestMode::kPredict) {
-          rsp.ok = false;
-          rsp.error = "io: injected feature-extract fault";
-          return false;
-        }
-        csr_fallback = true;
-        rsp.degraded = true;
-        rsp.degrade_reason = "chaos:feature_extract";
-        if (keep_view != nullptr) *keep_view = std::move(view);
-        return false;
-      }
-      // In-batch parallel extraction: this worker scans blocks too, so a
-      // busy parallel_for pool degrades to the serial scan, never a wait.
-      features = extract_features(*view);
-      summary = summarize(*view);
-      if (fault.kind == chaos::FaultKind::kCorrupt) {
-        // Corrupted extraction: every value off by a sign flip. The
-        // classifier still yields an in-range label (possibly a bad
-        // pick — chaos tests assert validity, not optimality) and the
-        // poisoned vector must never enter the cache.
-        for (double& v : features.values) v = -v;
-      } else {
-        cache_.put(content_key, CachedFeatures{features, summary});
-      }
+      s.features = cached->features;
+      s.summary = cached->summary;
+      s.rsp.cache_hit = true;
     }
-    has_summary = true;
-    feature_breaker_.record(true, stage_timer.millis(), Clock::now());
-    if (keep_view != nullptr) *keep_view = std::move(view);
-    return true;
-  } catch (const Error& e) {
-    feature_breaker_.record(false, 0.0, Clock::now());
-    rsp.ok = false;
-    rsp.error = std::string(error_category_name(e.category())) + ": " +
-                e.what();
-    return false;
+    s.has_summary = true;
+    feature_breaker_.record(true, Clock::now());
+    // A fast-path hit reads the matrix only now, and only to materialize.
+    if (req.materialize)
+      s.view = matrix != nullptr ? std::move(matrix)
+                                 : ingest_.load(req.matrix_path).matrix;
+    s.live = true;
   } catch (const std::exception& e) {
-    feature_breaker_.record(false, 0.0, Clock::now());
-    rsp.ok = false;
-    rsp.error = std::string("generic: ") + e.what();
-    return false;
+    s.fail(e);
   }
 }
 
-void Service::process_batch(std::vector<Pending>& batch) {
+void Service::process_batch(std::vector<Pending>& items) {
   obs::TraceSpan span("serve.batch");
-  span.arg("size", static_cast<std::uint64_t>(batch.size()));
-  auto& registry_metrics = obs::MetricsRegistry::global();
-  registry_metrics.histogram("serve.batch_size", kBatchBounds)
-      .observe(static_cast<double>(batch.size()));
+  span.arg("size", static_cast<std::uint64_t>(items.size()));
+  obs::MetricsRegistry::global()
+      .histogram("serve.batch_size", kBatchBounds)
+      .observe(static_cast<double>(items.size()));
 
-  const std::shared_ptr<const ModelBundle> bundle = registry_.current();
-  const auto picked_up = Clock::now();
+  Batch b;
+  b.bundle = registry_.current();
+  b.picked_up = Clock::now();
+  b.tracing = obs::trace_enabled();
+  b.slots.resize(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) b.slots[i].item = &items[i];
 
   // Register with the watchdog before doing any work: a hang anywhere
   // below must be recoverable from outside this thread.
   std::uint64_t inflight_id = 0;
   if (cfg_.watchdog_ms > 0.0) {
     Inflight rec;
-    rec.started = picked_up;
-    rec.slots.reserve(batch.size());
-    rec.skeletons.reserve(batch.size());
-    for (const Pending& p : batch) {
+    rec.started = b.picked_up;
+    rec.slots.reserve(items.size());
+    rec.skeletons.reserve(items.size());
+    for (const Pending& p : items) {
       rec.slots.push_back(p.slot);
       Response skeleton;
       skeleton.id = p.req.id;
@@ -566,471 +639,360 @@ void Service::process_batch(std::vector<Pending>& batch) {
     inflight_.emplace(inflight_id, std::move(rec));
   }
 
-  struct Slot {
-    Response rsp;
-    FeatureVector features;
-    RowSummary summary;
-    /// Borrowed ingest view, kept only for materialize requests. Pins
-    /// the CSR against cache eviction for the life of the batch.
-    std::shared_ptr<const Csr<double>> view;
-    bool has_summary = false;
-    bool live = false;         // resolved and awaiting predictions
-    bool indirect = false;     // gets the regressor pass
-    bool csr_fallback = false; // bottom rung: static CSR, no model pass
+  WallTimer timer;
+  features(b);
+  b.features_ms = timer.millis();
+  if (b.bundle != nullptr) {
+    timer.reset();
+    classify(b);
+    b.classify_ms = timer.millis();
+    timer.reset();
+    regress(b);
+    b.regress_ms = timer.millis();
+  }
+  // The reported finalize time covers materialization too.
+  timer.reset();
+  finalize(b);
+  materialize(b);
+  b.finalize_ms = timer.millis();
+  deliver(b);
+
+  if (inflight_id != 0) {
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    inflight_.erase(inflight_id);
+  }
+}
+
+// --- Stage 1: features (ingest + caches + Table II extraction). ---
+void Service::features(Batch& b) {
+  obs::TraceSpan span("serve.features");
+  for (Slot& s : b.slots) {
+    const Request& req = s.item->req;
+    const bool sampled = b.tracing && req.trace_sampled;
+    s.rsp.id = req.id;
+    s.rsp.mode = req.mode;
+    s.rsp.batch = b.slots.size();
+    s.rsp.queue_ms = ms_between(s.item->enqueued, b.picked_up);
+    obs::MetricsRegistry::global()
+        .histogram("serve.queue_s", obs::default_latency_bounds_s())
+        .observe(s.rsp.queue_ms / 1e3);
+    // Queue wait started on the submitting thread and ended here
+    // (possibly after a steal), so it is recorded retroactively.
+    if (sampled)
+      obs::trace_complete("req.queue", s.rsp.queue_ms * 1e3, s.rsp.id);
+    if (b.bundle == nullptr) {
+      s.rsp.error = "model-format: no model installed in the registry";
+      continue;
+    }
+    s.rsp.model_version = b.bundle->version;
+    WallTimer request_timer;
+    resolve_features(s);
+    if (sampled)
+      obs::trace_complete("req.features", request_timer.millis() * 1e3,
+                          s.rsp.id);
+  }
+}
+
+// --- Stage 2: one batched classifier pass over every live request. ---
+// The direct prediction is computed for all modes: select/predict use it
+// directly, indirect keeps it as the degradation target.
+void Service::classify(Batch& b) {
+  obs::TraceSpan span("serve.classify");
+  const bool inference_up = inference_breaker_.allow(Clock::now());
+  ml::Matrix x;
+  std::vector<Slot*> rows;  // slot per matrix row
+  for (Slot& s : b.slots) {
+    if (!s.live) continue;
+    if (!inference_up) {
+      s.take(Outage::kInferenceBreaker);
+      continue;
+    }
+    x.push_back(s.features.select(b.bundle->selector->feature_set()));
+    rows.push_back(&s);
+  }
+  if (x.empty()) return;
+  const std::vector<int> labels =
+      b.bundle->selector->classifier().predict_batch(x);
+  const auto candidates = b.bundle->selector->candidates();
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    Slot& s = *rows[k];
+    // Chaos site inference: per-request faults over the batched result.
+    // An error or a corrupted label takes the ladder rather than ever
+    // serving an invalid selection.
+    const bool injected = breaks(
+        stage_fault(chaos::Site::kInference, request_identity(s.item->req)));
+    const int label = injected ? -1 : labels[k];
+    if (label < 0 || label >= static_cast<int>(candidates.size())) {
+      inference_breaker_.record(false, Clock::now());
+      if (injected) {
+        s.take(Outage::kInferenceFault);
+      } else {
+        s.live = false;
+        s.rsp.error = "model-format: classifier produced out-of-range label";
+      }
+      continue;
+    }
+    inference_breaker_.record(true, Clock::now());
+    s.rsp.predicted = candidates[static_cast<std::size_t>(label)];
+    s.rsp.format = s.rsp.predicted;
+    if (b.tracing && s.item->req.trace_sampled)
+      obs::trace_instant("req.infer", s.rsp.id);
+  }
+}
+
+// --- Stage 3: the per-format regressor pass (indirect and predict). ---
+void Service::regress(Batch& b) {
+  // Deadline triage first: an indirect request whose remaining budget
+  // cannot fit the (EWMA-estimated) regressor pass degrades to the
+  // direct prediction computed above.
+  const double est_ms = indirect_item_cost_ms_.load(std::memory_order_relaxed);
+  std::vector<Slot*> rows;
+  for (Slot& s : b.slots) {
+    const Request& req = s.item->req;
+    if (!s.live || req.mode == RequestMode::kSelect) continue;
+    if (b.bundle->perf == nullptr) {
+      s.take(Outage::kNoPerfModel);
+      continue;
+    }
+    if (req.mode == RequestMode::kIndirect && req.deadline_ms > 0.0) {
+      const double remaining =
+          req.deadline_ms - ms_between(s.item->enqueued, Clock::now());
+      if (remaining <= 0.0 || remaining < est_ms) {
+        s.take(Outage::kDeadline);
+        continue;
+      }
+    }
+    s.indirect = true;
+    rows.push_back(&s);
+  }
+  if (rows.empty()) return;
+
+  obs::TraceSpan span("serve.regress");
+  span.arg("items", static_cast<std::uint64_t>(rows.size()));
+  WallTimer timer;
+  for (Slot* s : rows)
+    s->rsp.predicted_us = price_formats(*b.bundle->perf, s->features);
+  const double per_item_ms = timer.millis() / static_cast<double>(rows.size());
+  const double prev = indirect_item_cost_ms_.load(std::memory_order_relaxed);
+  indirect_item_cost_ms_.store(
+      prev <= 0.0 ? per_item_ms : 0.8 * prev + 0.2 * per_item_ms,
+      std::memory_order_relaxed);
+}
+
+// --- Stage 4: per-request feasibility + argmin. ---
+void Service::finalize(Batch& b) {
+  for (Slot& s : b.slots) {
+    if (!s.live && !s.csr_fallback) continue;
+    const Request& req = s.item->req;
+    s.rsp.ok = true;
+    if (s.csr_fallback) {
+      // Bottom rung: CSR is the universal floor — valid for every
+      // matrix, needs no model and no features.
+      s.rsp.format = Format::kCsr;
+      s.rsp.predicted = Format::kCsr;
+      s.rsp.fallback = false;
+    }
+    const double budget_gb =
+        req.mem_budget_gb > 0.0 ? req.mem_budget_gb : cfg_.mem_budget_gb;
+    if (budget_gb > 0.0 && s.has_summary)
+      s.feasible = make_memory_feasibility(
+          s.summary, cfg_.precision,
+          static_cast<std::int64_t>(budget_gb * 1e9));
+
+    try {
+      if (s.indirect && req.mode == RequestMode::kIndirect) {
+        // Argmin of predicted times over feasible formats.
+        double best = 0.0;
+        bool found = false;
+        auto [best_unconstrained, best_unconstrained_us] =
+            s.rsp.predicted_us.front();
+        for (const auto& [f, us] : s.rsp.predicted_us) {
+          if (us < best_unconstrained_us) {
+            best_unconstrained = f;
+            best_unconstrained_us = us;
+          }
+          if (s.feasible && !s.feasible(f)) continue;
+          if (!found || us < best) {
+            best = us;
+            s.rsp.format = f;
+            found = true;
+          }
+        }
+        s.rsp.predicted = best_unconstrained;
+        if (!found) {
+          // Nothing feasible: CSR floor, mirroring select_feasible.
+          const auto formats = b.bundle->perf->formats();
+          SPMVML_ENSURE_CAT(
+              std::find(formats.begin(), formats.end(), Format::kCsr) !=
+                  formats.end(),
+              ErrorCategory::kInfeasibleFormat,
+              "no modeled format is feasible under the memory budget");
+          s.rsp.format = Format::kCsr;
+        }
+        s.rsp.fallback = s.rsp.format != s.rsp.predicted;
+      } else if (s.live && req.mode != RequestMode::kPredict && s.feasible) {
+        // Direct classifier result (select, or degraded indirect).
+        const Selection sel =
+            b.bundle->selector->select_feasible(s.features, s.feasible);
+        s.rsp.predicted = sel.predicted;
+        s.rsp.format = sel.format;
+        s.rsp.fallback = sel.fallback;
+        s.counted = true;
+      }
+    } catch (const std::exception& e) {
+      s.fail(e);
+    }
+  }
+}
+
+// --- Stage 5: convert + SpMV + scorecard + shadow probe. ---
+void Service::materialize(Batch& b) {
+  for (Slot& s : b.slots) {
+    const Request& req = s.item->req;
+    if (!s.rsp.ok || !req.materialize || s.view == nullptr) continue;
+    // Conversion stage down, or a conversion fault: the selection is
+    // still served, the caller just builds the format itself.
+    if (!materialize_breaker_.allow(Clock::now())) {
+      s.take(Outage::kMaterializeBreaker);
+      continue;
+    }
+    if (breaks(stage_fault(chaos::Site::kMaterialize, request_identity(req)))) {
+      materialize_breaker_.record(false, Clock::now());
+      s.take(Outage::kMaterializeFault);
+      continue;
+    }
+    try {
+      WallTimer timer;
+      build_and_score(b, s);
+      if (b.tracing && req.trace_sampled)
+        obs::trace_complete("req.materialize", timer.millis() * 1e3, s.rsp.id);
+    } catch (const std::exception& e) {
+      s.fail(e);
+    }
+  }
+}
+
+void Service::build_and_score(const Batch& b, Slot& s) {
+  const Csr<double>& csr = *s.view;
+  // One conversion arena per worker thread: a stream of requests reuses
+  // its buffers, so the steady-state conversion performs no heap
+  // allocation. The borrowed view is read-only; the arena copies what it
+  // needs. The x/y vectors are thread_local for the same reason.
+  thread_local ConversionArena<double> arena;
+  thread_local std::vector<double> spmv_x, spmv_y;
+  WallTimer convert_timer;
+  const AnyMatrix<double>& built = arena.convert(s.rsp.format, csr);
+  s.rsp.convert_ms = convert_timer.millis();
+  s.rsp.format_bytes = built.bytes();
+  s.rsp.materialized = true;
+  materialize_breaker_.record(true, Clock::now());
+  obs::MetricsRegistry::global()
+      .counter(std::string("serve.materialize.") + format_name(s.rsp.format))
+      .inc();
+
+  // Prediction scorecard: this is the one place the service holds both
+  // the model's opinion and a real, just-built format — run one SpMV on
+  // it and ledger predicted vs measured.
+  const double flops = 2.0 * static_cast<double>(csr.nnz());
+  const auto time_spmv = [&](const AnyMatrix<double>& m) {
+    spmv_x.assign(static_cast<std::size_t>(csr.cols()), 1.0);
+    spmv_y.assign(static_cast<std::size_t>(csr.rows()), 0.0);
+    WallTimer spmv_timer;
+    m.spmv(spmv_x, spmv_y);
+    // Clamp: a sub-resolution measurement must not produce an infinite
+    // GFLOPS figure.
+    return std::max(spmv_timer.seconds(), 1e-9);
   };
-  std::vector<Slot> slots(batch.size());
+  const double spmv_s = time_spmv(built);
+  s.rsp.spmv_ms = spmv_s * 1e3;
+  s.rsp.measured_gflops = flops / spmv_s / 1e9;
 
-  // Per-batch stage breakdown: every request in the batch shares these
-  // (the stages run at batch granularity), reported as "stage_ms".
-  const bool tracing = obs::trace_enabled();
-  double stage_features_ms = 0.0;
-  double stage_classify_ms = 0.0;
-  double stage_regress_ms = 0.0;
-  double stage_finalize_ms = 0.0;
-
-  // --- Stage 1: features (ingest + caches + Table II extraction). ---
-  {
-    obs::TraceSpan features_span("serve.features");
-    WallTimer stage_timer;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      Slot& s = slots[i];
-      const bool sampled = tracing && batch[i].req.trace_sampled;
-      s.rsp.id = batch[i].req.id;
-      s.rsp.mode = batch[i].req.mode;
-      s.rsp.batch = batch.size();
-      s.rsp.queue_ms = ms_between(batch[i].enqueued, picked_up);
-      registry_metrics.histogram("serve.queue_s", obs::default_latency_bounds_s())
-          .observe(s.rsp.queue_ms / 1e3);
-      // Queue wait started on the submitting thread and ended here
-      // (possibly after a steal), so it is recorded retroactively.
-      if (sampled)
-        obs::trace_complete("req.queue", s.rsp.queue_ms * 1e3, s.rsp.id);
-      if (bundle == nullptr) {
-        s.rsp.error = "model-format: no model installed in the registry";
-        continue;
-      }
-      s.rsp.model_version = bundle->version;
-      WallTimer request_timer;
-      s.live = resolve_features(batch[i], s.rsp, s.features, s.summary,
-                                s.has_summary, s.csr_fallback,
-                                batch[i].req.materialize ? &s.view : nullptr);
-      if (sampled)
-        obs::trace_complete("req.features", request_timer.millis() * 1e3,
-                            s.rsp.id);
-    }
-    stage_features_ms = stage_timer.millis();
-  }
-
-  // --- Stage 2: one batched classifier pass over every live request. ---
-  // The direct prediction is computed for all modes: select/predict use
-  // it directly, indirect keeps it as the degradation target. An open
-  // inference breaker sends select/indirect to the CSR rung wholesale.
-  if (bundle != nullptr) {
-    obs::TraceSpan classify_span("serve.classify");
-    WallTimer stage_timer;
-    const bool inference_up = inference_breaker_.allow(Clock::now());
-    ml::Matrix x;
-    std::vector<std::size_t> rows;  // slot index per matrix row
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      Slot& s = slots[i];
-      if (!s.live || s.csr_fallback) continue;
-      if (!inference_up) {
-        if (batch[i].req.mode == RequestMode::kPredict) {
-          s.live = false;
-          s.rsp.error =
-              "unavailable: inference breaker open (predict has no "
-              "degradation floor)";
-          continue;
-        }
-        s.csr_fallback = true;
-        s.rsp.degraded = true;
-        s.rsp.degrade_reason = "breaker:inference";
-        continue;
-      }
-      x.push_back(s.features.select(bundle->selector->feature_set()));
-      rows.push_back(i);
-    }
-    if (!x.empty()) {
-      WallTimer classify_timer;
-      const std::vector<int> labels =
-          bundle->selector->classifier().predict_batch(x);
-      const double per_item_ms =
-          classify_timer.millis() / static_cast<double>(rows.size());
-      const auto candidates = bundle->selector->candidates();
-      for (std::size_t k = 0; k < rows.size(); ++k) {
-        Slot& s = slots[rows[k]];
-        // Chaos site inference: per-request faults over the batched
-        // result. An error or a corrupted label degrades to CSR rather
-        // than ever serving an invalid selection.
-        const chaos::Fault fault = stage_fault(
-            chaos::Site::kInference, request_identity(batch[rows[k]].req));
-        if (fault) chaos::apply_latency(fault);
-        const bool injected = fault.kind == chaos::FaultKind::kError ||
-                              fault.kind == chaos::FaultKind::kCorrupt;
-        const int label = injected ? -1 : labels[k];
-        if (label < 0 || label >= static_cast<int>(candidates.size())) {
-          inference_breaker_.record(false, per_item_ms, Clock::now());
-          if (!injected) {
-            s.live = false;
-            s.rsp.error =
-                "model-format: classifier produced out-of-range label";
-            continue;
-          }
-          if (batch[rows[k]].req.mode == RequestMode::kPredict) {
-            s.live = false;
-            s.rsp.error = "model-format: injected inference fault";
-            continue;
-          }
-          s.csr_fallback = true;
-          s.rsp.degraded = true;
-          s.rsp.degrade_reason = "chaos:inference";
-          continue;
-        }
-        inference_breaker_.record(true, per_item_ms, Clock::now());
-        s.rsp.predicted = candidates[static_cast<std::size_t>(label)];
-        s.rsp.format = s.rsp.predicted;
-        if (tracing && batch[rows[k]].req.trace_sampled)
-          obs::trace_instant("req.infer", s.rsp.id);
+  ScorecardEntry entry;
+  entry.features_hash = features_fingerprint(s.features.values);
+  entry.features = s.features.values;
+  entry.chosen = s.rsp.format;
+  entry.predicted_best = s.rsp.format;
+  entry.measured_gflops = s.rsp.measured_gflops;
+  entry.model_version = s.rsp.model_version;
+  // Per-format predicted times: reuse the regressor pass when stage 3
+  // ran it, otherwise price the formats here (the conversion+SpMV just
+  // done dwarfs this pass).
+  std::vector<std::pair<Format, double>> predicted_us = s.rsp.predicted_us;
+  if (predicted_us.empty() && b.bundle->perf != nullptr)
+    predicted_us = price_formats(*b.bundle->perf, s.features);
+  if (!predicted_us.empty()) {
+    double chosen_us = 0.0;
+    double best_us = 0.0;
+    for (const auto& [f, us] : predicted_us) {
+      if (f == s.rsp.format) chosen_us = us;
+      if (best_us <= 0.0 || us < best_us) {
+        best_us = us;
+        entry.predicted_best = f;
       }
     }
-    stage_classify_ms = stage_timer.millis();
-  }
-
-  // --- Stage 3: feasibility + indirect/predict regressor pass. ---
-  if (bundle != nullptr) {
-    WallTimer stage_timer;
-    // Deadline triage first: an indirect request whose remaining budget
-    // cannot fit the (EWMA-estimated) regressor pass degrades to the
-    // direct prediction computed above. An open regress breaker does
-    // the same for the whole batch (first rung of the ladder).
-    const bool regress_up = regress_breaker_.allow(Clock::now());
-    const double est_ms = indirect_item_cost_ms_.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      Slot& s = slots[i];
-      if (!s.live || s.csr_fallback) continue;
-      const RequestMode mode = batch[i].req.mode;
-      if (mode == RequestMode::kSelect) continue;
-      if (bundle->perf == nullptr) {
-        if (mode == RequestMode::kPredict) {
-          s.live = false;
-          s.rsp.error = "model-format: no perf model installed (predict "
-                        "needs --perf-model)";
-          continue;
-        }
-        s.rsp.degraded = true;  // indirect without regressors: direct pick
-        s.rsp.degrade_reason = "no_perf_model";
-        continue;
-      }
-      if (!regress_up) {
-        if (mode == RequestMode::kPredict) {
-          s.live = false;
-          s.rsp.error =
-              "unavailable: regress breaker open (predict has no "
-              "degradation floor)";
-          continue;
-        }
-        s.rsp.degraded = true;
-        s.rsp.degrade_reason = "breaker:regress";
-        continue;
-      }
-      if (mode != RequestMode::kIndirect) {
-        s.indirect = true;  // predict: always runs the regressors
-        continue;
-      }
-      const double deadline = batch[i].req.deadline_ms;
-      if (deadline > 0.0) {
-        const double elapsed = ms_between(batch[i].enqueued, Clock::now());
-        const double remaining = deadline - elapsed;
-        if (remaining <= 0.0 || remaining < est_ms) {
-          s.rsp.degraded = true;
-          s.rsp.degrade_reason = "deadline";
-          continue;
-        }
-      }
-      s.indirect = true;
-    }
-
-    std::vector<std::size_t> regress_rows;
-    for (std::size_t i = 0; i < slots.size(); ++i)
-      if (slots[i].live && slots[i].indirect) regress_rows.push_back(i);
-    if (!regress_rows.empty()) {
-      obs::TraceSpan regress_span("serve.regress");
-      regress_span.arg("items", static_cast<std::uint64_t>(regress_rows.size()));
-      WallTimer regress_timer;
-      const auto formats = bundle->perf->formats();
-      for (const std::size_t i : regress_rows) {
-        Slot& s = slots[i];
-        s.rsp.predicted_us.reserve(formats.size());
-        for (const Format f : formats)
-          s.rsp.predicted_us.emplace_back(
-              f, bundle->perf->predict_seconds(s.features, f) * 1e6);
-      }
-      const double per_item_ms =
-          regress_timer.millis() / static_cast<double>(regress_rows.size());
-      for (std::size_t k = 0; k < regress_rows.size(); ++k)
-        regress_breaker_.record(true, per_item_ms, Clock::now());
-      double prev = indirect_item_cost_ms_.load(std::memory_order_relaxed);
-      const double next = prev <= 0.0 ? per_item_ms
-                                      : 0.8 * prev + 0.2 * per_item_ms;
-      indirect_item_cost_ms_.store(next, std::memory_order_relaxed);
-    }
-    stage_regress_ms = stage_timer.millis();
-  }
-
-  // --- Stage 4: per-request finalization (feasibility + argmin). ---
-  // Replies are delivered in a separate pass below, after the admission
-  // cost EWMA is updated: a caller woken by its response must observe a
-  // backlog estimate that already accounts for this batch.
-  std::vector<char> counted(batch.size(), 0);  // select_feasible() bumps
-                                               // serve.select itself
-  WallTimer finalize_timer;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    Slot& s = slots[i];
-    Pending& item = batch[i];
-    if (s.live || s.csr_fallback) {
-      s.rsp.ok = true;
-      if (s.csr_fallback) {
-        // Bottom rung: CSR is the universal floor — valid for every
-        // matrix, needs no model and no features.
-        s.rsp.format = Format::kCsr;
-        s.rsp.predicted = Format::kCsr;
-        s.rsp.fallback = false;
-      }
-      const double budget_gb = item.req.mem_budget_gb > 0.0
-                                   ? item.req.mem_budget_gb
-                                   : cfg_.mem_budget_gb;
-      FeasibilityFn feasible;
-      if (budget_gb > 0.0 && s.has_summary)
-        feasible = make_memory_feasibility(
-            s.summary, cfg_.precision,
-            static_cast<std::int64_t>(budget_gb * 1e9));
-
-      try {
-        if (s.live && item.req.mode == RequestMode::kIndirect && s.indirect) {
-          // Argmin of predicted times over feasible formats.
-          const auto formats = bundle->perf->formats();
-          double best = 0.0;
-          bool found = false;
-          Format best_unconstrained = s.rsp.predicted_us.front().first;
-          double best_unconstrained_us =
-              s.rsp.predicted_us.front().second;
-          for (const auto& [f, us] : s.rsp.predicted_us) {
-            if (us < best_unconstrained_us) {
-              best_unconstrained = f;
-              best_unconstrained_us = us;
-            }
-            if (feasible && !feasible(f)) continue;
-            if (!found || us < best) {
-              best = us;
-              s.rsp.format = f;
-              found = true;
-            }
-          }
-          s.rsp.predicted = best_unconstrained;
-          if (!found) {
-            // Nothing feasible: CSR floor, mirroring select_feasible.
-            SPMVML_ENSURE_CAT(
-                std::find(formats.begin(), formats.end(), Format::kCsr) !=
-                    formats.end(),
-                ErrorCategory::kInfeasibleFormat,
-                "no modeled format is feasible under the memory budget");
-            s.rsp.format = Format::kCsr;
-          }
-          s.rsp.fallback = s.rsp.format != s.rsp.predicted;
-        } else if (s.live && item.req.mode != RequestMode::kPredict) {
-          // Direct classifier result (select, or degraded indirect).
-          if (feasible) {
-            const Selection sel =
-                bundle->selector->select_feasible(s.features, feasible);
-            s.rsp.predicted = sel.predicted;
-            s.rsp.format = sel.format;
-            s.rsp.fallback = sel.fallback;
-            counted[i] = 1;
-          }
-        }
-        if (item.req.materialize && s.view != nullptr) {
-          if (!materialize_breaker_.allow(Clock::now())) {
-            // Conversion stage down: the selection is still served, the
-            // caller just builds the format itself.
-            s.rsp.degraded = true;
-            if (s.rsp.degrade_reason.empty())
-              s.rsp.degrade_reason = "breaker:materialize";
-          } else {
-            // Chaos site materialize: a conversion fault keeps the
-            // response valid with materialized=false.
-            const chaos::Fault fault = stage_fault(
-                chaos::Site::kMaterialize, request_identity(item.req));
-            if (fault) chaos::apply_latency(fault);
-            if (fault.kind == chaos::FaultKind::kError ||
-                fault.kind == chaos::FaultKind::kCorrupt) {
-              materialize_breaker_.record(false, 0.0, Clock::now());
-              s.rsp.degraded = true;
-              if (s.rsp.degrade_reason.empty())
-                s.rsp.degrade_reason = "chaos:materialize";
-            } else {
-              // One conversion arena per worker thread: a stream of
-              // requests reuses its buffers, so the steady-state
-              // conversion performs no heap allocation. The borrowed
-              // view is read-only; the arena copies what it needs.
-              thread_local ConversionArena<double> arena;
-              WallTimer materialize_timer;
-              WallTimer convert_timer;
-              const AnyMatrix<double>& built =
-                  arena.convert(s.rsp.format, *s.view);
-              s.rsp.convert_ms = convert_timer.millis();
-              s.rsp.format_bytes = built.bytes();
-              s.rsp.materialized = true;
-              materialize_breaker_.record(true, s.rsp.convert_ms,
-                                          Clock::now());
-              registry_metrics
-                  .counter(std::string("serve.materialize.") +
-                           format_name(s.rsp.format))
-                  .inc();
-
-              // Prediction scorecard: this is the one place the service
-              // holds both the model's opinion and a real, just-built
-              // format — run one SpMV on it and ledger predicted vs
-              // measured. The x/y vectors are thread_local like the
-              // arena, so steady state allocates nothing.
-              thread_local std::vector<double> spmv_x, spmv_y;
-              spmv_x.assign(static_cast<std::size_t>(s.view->cols()), 1.0);
-              spmv_y.assign(static_cast<std::size_t>(s.view->rows()), 0.0);
-              WallTimer spmv_timer;
-              built.spmv(spmv_x, spmv_y);
-              // Clamp: a sub-resolution measurement must not produce an
-              // infinite GFLOPS figure.
-              const double spmv_s = std::max(spmv_timer.seconds(), 1e-9);
-              s.rsp.spmv_ms = spmv_s * 1e3;
-              const double flops = 2.0 * static_cast<double>(s.view->nnz());
-              s.rsp.measured_gflops = flops / spmv_s / 1e9;
-
-              ScorecardEntry entry;
-              entry.features_hash = features_fingerprint(s.features.values);
-              entry.features = s.features.values;
-              entry.chosen = s.rsp.format;
-              entry.predicted_best = s.rsp.format;
-              entry.measured_gflops = s.rsp.measured_gflops;
-              entry.model_version = s.rsp.model_version;
-              // Per-format predicted times: reuse the regressor pass when
-              // stage 3 ran it, otherwise price the formats here (the
-              // conversion+SpMV just done dwarfs this pass).
-              std::vector<std::pair<Format, double>> predicted_us =
-                  s.rsp.predicted_us;
-              if (predicted_us.empty() && bundle->perf != nullptr)
-                for (const Format f : bundle->perf->formats())
-                  predicted_us.emplace_back(
-                      f,
-                      bundle->perf->predict_seconds(s.features, f) * 1e6);
-              if (!predicted_us.empty()) {
-                double chosen_us = 0.0;
-                double best_us = 0.0;
-                for (const auto& [f, us] : predicted_us) {
-                  if (f == s.rsp.format) chosen_us = us;
-                  if (best_us <= 0.0 || us < best_us) {
-                    best_us = us;
-                    entry.predicted_best = f;
-                  }
-                }
-                if (chosen_us > 0.0) {
-                  entry.predicted_gflops = flops / (chosen_us * 1e-6) / 1e9;
-                  s.rsp.predicted_gflops = entry.predicted_gflops;
-                  if (best_us > 0.0)
-                    entry.regret = chosen_us / best_us - 1.0;
-                }
-              }
-              scorecard_.record(entry);
-
-              // Shadow probe (learning mode only): convert and time ONE
-              // extra format so the replay buffer accumulates per-format
-              // measured truth — the labels the retraining loop needs.
-              // The probe entry rides the scorecard ring flagged
-              // probe=true (excluded from the traffic aggregates) and
-              // never touches the served response.
-              if (trainer_ != nullptr) {
-                const auto probe_formats =
-                    bundle->perf != nullptr
-                        ? bundle->perf->formats()
-                        : bundle->selector->candidates();
-                if (probe_formats.size() > 1) {
-                  // Mix the matrix fingerprint into the rotation: a bare
-                  // counter resonates with cyclic traffic (N matrices
-                  // polled round-robin with N divisible by the format
-                  // count probes the SAME format for a given matrix
-                  // forever), leaving whole formats unmeasured on a
-                  // regime. Hashing decorrelates the probe choice from
-                  // the arrival pattern while staying deterministic for
-                  // a fixed request order.
-                  const std::uint64_t pseq = hash_combine(
-                      entry.features_hash,
-                      probe_seq_.fetch_add(1, std::memory_order_relaxed));
-                  Format probe_fmt =
-                      probe_formats[pseq % probe_formats.size()];
-                  if (probe_fmt == s.rsp.format)
-                    probe_fmt =
-                        probe_formats[(pseq + 1) % probe_formats.size()];
-                  if (probe_fmt != s.rsp.format &&
-                      (!feasible || feasible(probe_fmt))) {
-                    try {
-                      WallTimer probe_total;
-                      const AnyMatrix<double>& probe_built =
-                          arena.convert(probe_fmt, *s.view);
-                      spmv_x.assign(
-                          static_cast<std::size_t>(s.view->cols()), 1.0);
-                      spmv_y.assign(
-                          static_cast<std::size_t>(s.view->rows()), 0.0);
-                      WallTimer probe_timer;
-                      probe_built.spmv(spmv_x, spmv_y);
-                      const double probe_s =
-                          std::max(probe_timer.seconds(), 1e-9);
-                      ScorecardEntry probe = entry;
-                      probe.probe = true;
-                      probe.chosen = probe_fmt;
-                      probe.measured_gflops = flops / probe_s / 1e9;
-                      probe.predicted_gflops = 0.0;
-                      probe.regret = 0.0;
-                      for (const auto& [f, us] : predicted_us)
-                        if (f == probe_fmt && us > 0.0)
-                          probe.predicted_gflops =
-                              flops / (us * 1e-6) / 1e9;
-                      scorecard_.record(probe);
-                      if (tracing && item.req.trace_sampled)
-                        obs::trace_complete("req.probe",
-                                            probe_total.millis() * 1e3,
-                                            s.rsp.id);
-                    } catch (const Error&) {
-                      // A probe that cannot convert is just a missing
-                      // measurement; the response is already complete.
-                      obs::MetricsRegistry::global()
-                          .counter("serve.probe.failed")
-                          .inc();
-                    }
-                  }
-                }
-              }
-              if (tracing && item.req.trace_sampled)
-                obs::trace_complete("req.materialize",
-                                    materialize_timer.millis() * 1e3,
-                                    s.rsp.id);
-            }
-          }
-        }
-      } catch (const Error& e) {
-        s.rsp.ok = false;
-        s.rsp.error = std::string(error_category_name(e.category())) + ": " +
-                      e.what();
-      }
+    if (chosen_us > 0.0) {
+      entry.predicted_gflops = flops / (chosen_us * 1e-6) / 1e9;
+      s.rsp.predicted_gflops = entry.predicted_gflops;
+      if (best_us > 0.0) entry.regret = chosen_us / best_us - 1.0;
     }
   }
-  stage_finalize_ms = finalize_timer.millis();
+  scorecard_.record(entry);
+  if (trainer_ == nullptr) return;
 
+  // Shadow probe (learning mode only): convert and time ONE extra format
+  // so the replay buffer accumulates per-format measured truth — the
+  // labels the retraining loop needs. The probe entry rides the
+  // scorecard ring flagged probe=true (excluded from the traffic
+  // aggregates) and never touches the served response.
+  const auto probe_formats = b.bundle->perf != nullptr
+                                 ? b.bundle->perf->formats()
+                                 : b.bundle->selector->candidates();
+  if (probe_formats.size() < 2) return;
+  // Mix the matrix fingerprint into the rotation: a bare counter
+  // resonates with cyclic traffic (N matrices polled round-robin with N
+  // divisible by the format count probes the SAME format for a given
+  // matrix forever), leaving whole formats unmeasured on a regime.
+  // Hashing decorrelates the probe choice from the arrival pattern while
+  // staying deterministic for a fixed request order.
+  const std::uint64_t pseq = hash_combine(
+      entry.features_hash, probe_seq_.fetch_add(1, std::memory_order_relaxed));
+  Format probe_fmt = probe_formats[pseq % probe_formats.size()];
+  if (probe_fmt == s.rsp.format)
+    probe_fmt = probe_formats[(pseq + 1) % probe_formats.size()];
+  if (probe_fmt == s.rsp.format || (s.feasible && !s.feasible(probe_fmt)))
+    return;
+  try {
+    WallTimer probe_total;
+    const double probe_s = time_spmv(arena.convert(probe_fmt, csr));
+    ScorecardEntry probe = entry;
+    probe.probe = true;
+    probe.chosen = probe_fmt;
+    probe.measured_gflops = flops / probe_s / 1e9;
+    probe.predicted_gflops = 0.0;
+    probe.regret = 0.0;
+    for (const auto& [f, us] : predicted_us)
+      if (f == probe_fmt && us > 0.0)
+        probe.predicted_gflops = flops / (us * 1e-6) / 1e9;
+    scorecard_.record(probe);
+    if (b.tracing && s.item->req.trace_sampled)
+      obs::trace_complete("req.probe", probe_total.millis() * 1e3, s.rsp.id);
+  } catch (const Error&) {
+    // A probe that cannot convert is just a missing measurement; the
+    // response is already complete.
+    obs::MetricsRegistry::global().counter("serve.probe.failed").inc();
+  }
+}
+
+// --- Stage 6: reply + per-response accounting. ---
+void Service::deliver(Batch& b) {
   // Admission shedding feeds on the measured per-item batch cost. Updated
   // before delivery: once a caller sees its response, the next submit()
   // must price the queue with this batch's cost already folded in. The
   // smoothing is asymmetric: cost drops (caches warming up after a cold
   // start) are tracked fast so the shed gate reopens quickly, cost rises
   // slowly so one anomalous batch does not trigger a shed storm.
-  const double per_item_ms =
-      ms_between(picked_up, Clock::now()) / static_cast<double>(batch.size());
+  const double n = static_cast<double>(b.slots.size());
+  const double per_item_ms = ms_between(b.picked_up, Clock::now()) / n;
   const double prev = batch_item_cost_ms_.load(std::memory_order_relaxed);
   double next = per_item_ms;
   if (prev > 0.0) {
@@ -1038,25 +1000,24 @@ void Service::process_batch(std::vector<Pending>& batch) {
     next = (1.0 - alpha) * prev + alpha * per_item_ms;
   }
   batch_item_cost_ms_.store(next, std::memory_order_relaxed);
-  backlog_.fetch_sub(batch.size(), std::memory_order_relaxed);
+  backlog_.fetch_sub(b.slots.size(), std::memory_order_relaxed);
 
-  // --- Stage 5: reply + per-response accounting. ---
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    Slot& s = slots[i];
-    Pending& item = batch[i];
-    s.rsp.latency_ms = ms_between(item.enqueued, Clock::now());
+  auto& registry_metrics = obs::MetricsRegistry::global();
+  for (Slot& s : b.slots) {
+    const Request& req = s.item->req;
+    s.rsp.latency_ms = ms_between(s.item->enqueued, Clock::now());
     s.rsp.has_stage_ms = true;  // to_json only renders it on ok responses
-    s.rsp.stage_features_ms = stage_features_ms;
-    s.rsp.stage_classify_ms = stage_classify_ms;
-    s.rsp.stage_regress_ms = stage_regress_ms;
-    s.rsp.stage_finalize_ms = stage_finalize_ms;
-    if (tracing && item.req.trace_sampled)
+    s.rsp.stage_features_ms = b.features_ms;
+    s.rsp.stage_classify_ms = b.classify_ms;
+    s.rsp.stage_regress_ms = b.regress_ms;
+    s.rsp.stage_finalize_ms = b.finalize_ms;
+    if (b.tracing && req.trace_sampled)
       obs::trace_complete("req.done", s.rsp.latency_ms * 1e3, s.rsp.id);
-    if (!item.slot->claim()) continue;  // watchdog got there first
+    if (!s.item->slot->claim()) continue;  // watchdog got there first
     // Account before invoking the callback: the moment finish() runs,
     // the caller may wake and read counters(), which must already
     // include this request.
-    if (s.rsp.ok && !counted[i] && item.req.mode != RequestMode::kPredict)
+    if (s.rsp.ok && !s.counted && req.mode != RequestMode::kPredict)
       registry_metrics
           .counter(std::string("serve.select.") + format_name(s.rsp.format))
           .inc();
@@ -1074,12 +1035,7 @@ void Service::process_batch(std::vector<Pending>& batch) {
         .observe(s.rsp.latency_ms / 1e3);
     served_.fetch_add(1, std::memory_order_relaxed);
     registry_metrics.counter("serve.requests").inc();
-    item.slot->finish(s.rsp);
-  }
-
-  if (inflight_id != 0) {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    inflight_.erase(inflight_id);
+    s.item->slot->finish(s.rsp);
   }
 }
 

@@ -7,10 +7,18 @@
 //     (reject "overloaded" when full;      │  coalesces up to max_batch
 //      shed when the estimated queue       │  or waits max_delay_ms
 //      wait cannot meet the deadline       v
-//      or the admission target)   thread-pool batch task: resolve
-//               features (ingest + feature caches), run the classifier
-//               ONCE per batch, per-format regressors for indirect and
-//               predict requests, fulfil callbacks
+//      or the admission target)   thread-pool batch task (the stages)
+//
+// The batch task is a table of named stages with one shape, each a
+// member `void stage(Batch&)` over one Slot record per request (both
+// defined in service.cpp), run in order:
+//
+//   features     ingest + feature caches + extraction, per request
+//   classify     ONE batched classifier pass
+//   regress      per-format regressors for indirect and predict
+//   finalize     memory feasibility + argmin
+//   materialize  convert + SpMV + scorecard (+ shadow probe), per request
+//   deliver      admission-cost EWMA, accounting, callbacks
 //
 // Sharded dispatch: submit() round-robins requests across dispatch_shards
 // independent {mutex, queue, dispatcher thread} shards, so producers no
@@ -32,14 +40,21 @@
 // the deadline has already expired in the queue — the request degrades
 // to the direct classifier instead of missing the deadline entirely.
 //
-// Degradation ladder (each rung is guarded by a circuit breaker; a
-// chaos-injected stage fault takes the next rung at once, with no retry):
+// Degradation ladder. The features, inference and materialize stages
+// each have a circuit breaker; an open breaker or a chaos-injected stage
+// fault takes the next rung at once, with no retry. Slot::take is the
+// one place an outage picks its rung, from one per-outage table of
+// degrade reasons and predict errors:
 //
 //   indirect (argmin of regressors)
-//     └─> direct classifier          (regress breaker open / deadline)
+//     └─> direct classifier          (no perf model / deadline)
 //           └─> static CSR fallback  (feature or inference stage down;
 //                                     CSR needs no model and no features,
 //                                     so the selection is always valid)
+//   materialize outage: the selection is served unmaterialized
+//
+// predict has no floor below its own route: where select would drop to
+// the direct pick or CSR, it fails instead.
 //
 // A watchdog thread (enabled by watchdog_ms > 0) reads the pool's
 // per-worker heartbeats; when a worker has been inside one task longer
@@ -119,7 +134,7 @@ struct ServiceConfig {
   /// cleanly. 0 disables the watchdog thread entirely.
   double watchdog_ms = 0.0;
   /// Tuning shared by the per-stage circuit breakers (features,
-  /// inference, regress, materialize).
+  /// inference, materialize).
   BreakerConfig breaker;
   /// Online learning loop (serve --learn; DESIGN.md §5k). Off by
   /// default: with enabled == false the trainer is never constructed,
@@ -229,18 +244,28 @@ class Service {
   /// batch (possibly empty).
   std::vector<Pending> steal_batch(std::size_t thief_index);
   void launch_batch(std::vector<Pending> batch);
-  void process_batch(std::vector<Pending>& batch);
   void watchdog_loop();
   void kill_overdue(Clock::time_point now);
-  /// Resolve features (+ digest when a matrix is available) for one
-  /// request. Returns false after recording an error in `rsp` OR after
-  /// putting the request on the static-CSR rung (`csr_fallback`). When
-  /// `keep_view` is non-null (materialize requests) a borrowed ingest
-  /// view of the CSR is stored into it for the stage-4 arena conversion.
-  bool resolve_features(Pending& item, Response& rsp, FeatureVector& features,
-                        RowSummary& summary, bool& has_summary,
-                        bool& csr_fallback,
-                        std::shared_ptr<const Csr<double>>* keep_view);
+
+  /// One batch on its way through the stages, and one request's record
+  /// in it (defined in service.cpp).
+  struct Batch;
+  struct Slot;
+  /// Run one batch through the stage table, in order.
+  void process_batch(std::vector<Pending>& items);
+  void features(Batch& b);
+  void classify(Batch& b);
+  void regress(Batch& b);
+  void finalize(Batch& b);
+  void materialize(Batch& b);
+  void deliver(Batch& b);
+  /// Features (+ row summary when a matrix is read) for one request; it
+  /// leaves the slot live, on a ladder rung, or failed. Materialize
+  /// requests also keep a borrowed ingest view of the CSR.
+  void resolve_features(Slot& s);
+  /// Convert to the served format, time one SpMV on it, ledger the
+  /// scorecard entry and (learning mode) run the shadow probe.
+  void build_and_score(const Batch& b, Slot& s);
 
   ServiceConfig cfg_;
   ModelRegistry& registry_;
@@ -251,7 +276,6 @@ class Service {
 
   CircuitBreaker feature_breaker_;
   CircuitBreaker inference_breaker_;
-  CircuitBreaker regress_breaker_;
   CircuitBreaker materialize_breaker_;
 
   /// Constructed only when cfg_.learn.enabled; declared after the pool

@@ -43,7 +43,7 @@ TEST(Breaker, StartsClosedAndAllows) {
 
 TEST(Breaker, SuccessesNeverTrip) {
   CircuitBreaker b("t_ok", small_cfg());
-  for (int i = 0; i < 64; ++i) b.record(true, 1.0, at_ms(i));
+  for (int i = 0; i < 64; ++i) b.record(true, at_ms(i));
   EXPECT_EQ(b.state(), BreakerState::kClosed);
   EXPECT_EQ(b.trips(), 0u);
 }
@@ -51,11 +51,11 @@ TEST(Breaker, SuccessesNeverTrip) {
 TEST(Breaker, ErrorRateOverThresholdTrips) {
   CircuitBreaker b("t_err", small_cfg());
   // Window 4, threshold 0.5: two failures in four outcomes trip it.
-  b.record(true, 1.0, at_ms(0));
-  b.record(false, 1.0, at_ms(1));
-  b.record(true, 1.0, at_ms(2));
+  b.record(true, at_ms(0));
+  b.record(false, at_ms(1));
+  b.record(true, at_ms(2));
   EXPECT_EQ(b.state(), BreakerState::kClosed);  // window not full yet
-  b.record(false, 1.0, at_ms(3));
+  b.record(false, at_ms(3));
   EXPECT_EQ(b.state(), BreakerState::kOpen);
   EXPECT_EQ(b.trips(), 1u);
   EXPECT_FALSE(b.allow(at_ms(4)));
@@ -65,8 +65,8 @@ TEST(Breaker, ErrorRateUnderThresholdTumblesWindow) {
   CircuitBreaker b("t_tumble", small_cfg());
   // One failure per full window stays under 0.5 forever.
   for (int w = 0; w < 8; ++w) {
-    b.record(false, 1.0, at_ms(w * 4));
-    for (int i = 1; i < 4; ++i) b.record(true, 1.0, at_ms(w * 4 + i));
+    b.record(false, at_ms(w * 4));
+    for (int i = 1; i < 4; ++i) b.record(true, at_ms(w * 4 + i));
   }
   EXPECT_EQ(b.state(), BreakerState::kClosed);
   EXPECT_EQ(b.trips(), 0u);
@@ -74,7 +74,7 @@ TEST(Breaker, ErrorRateUnderThresholdTumblesWindow) {
 
 TEST(Breaker, CooldownPromotesToHalfOpenViaAllow) {
   CircuitBreaker b("t_cool", small_cfg());
-  for (int i = 0; i < 4; ++i) b.record(false, 1.0, at_ms(i));
+  for (int i = 0; i < 4; ++i) b.record(false, at_ms(i));
   ASSERT_EQ(b.state(), BreakerState::kOpen);
   EXPECT_FALSE(b.allow(at_ms(50)));  // cooldown (100 ms) not elapsed
   EXPECT_EQ(b.state(), BreakerState::kOpen);
@@ -84,12 +84,12 @@ TEST(Breaker, CooldownPromotesToHalfOpenViaAllow) {
 
 TEST(Breaker, HalfOpenProbeSuccessesClose) {
   CircuitBreaker b("t_close", small_cfg());
-  for (int i = 0; i < 4; ++i) b.record(false, 1.0, at_ms(i));
+  for (int i = 0; i < 4; ++i) b.record(false, at_ms(i));
   ASSERT_TRUE(b.allow(at_ms(200)));
   ASSERT_EQ(b.state(), BreakerState::kHalfOpen);
-  b.record(true, 1.0, at_ms(201));
+  b.record(true, at_ms(201));
   EXPECT_EQ(b.state(), BreakerState::kHalfOpen);  // 1 of 2 probes
-  b.record(true, 1.0, at_ms(202));
+  b.record(true, at_ms(202));
   EXPECT_EQ(b.state(), BreakerState::kClosed);
   EXPECT_TRUE(b.allow(at_ms(203)));
   EXPECT_EQ(b.trips(), 1u);
@@ -97,10 +97,10 @@ TEST(Breaker, HalfOpenProbeSuccessesClose) {
 
 TEST(Breaker, HalfOpenProbeFailureReopensAndRestartsCooldown) {
   CircuitBreaker b("t_reopen", small_cfg());
-  for (int i = 0; i < 4; ++i) b.record(false, 1.0, at_ms(i));
+  for (int i = 0; i < 4; ++i) b.record(false, at_ms(i));
   ASSERT_TRUE(b.allow(at_ms(200)));
-  b.record(true, 1.0, at_ms(201));   // one good probe...
-  b.record(false, 1.0, at_ms(202));  // ...then a failure: reopen
+  b.record(true, at_ms(201));   // one good probe...
+  b.record(false, at_ms(202));  // ...then a failure: reopen
   EXPECT_EQ(b.state(), BreakerState::kOpen);
   EXPECT_EQ(b.trips(), 2u);
   EXPECT_FALSE(b.allow(at_ms(250)));  // cooldown restarted at t=202
@@ -108,44 +108,14 @@ TEST(Breaker, HalfOpenProbeFailureReopensAndRestartsCooldown) {
   EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
 }
 
-TEST(Breaker, LatencyEwmaTripRequiresWarmup) {
-  BreakerConfig cfg = small_cfg();
-  cfg.latency_threshold_ms = 10.0;
-  cfg.ewma_alpha = 1.0;  // EWMA == last sample: deterministic
-  cfg.error_threshold = 1.0;
-  CircuitBreaker b("t_lat", cfg);
-  // Slow but successful outcomes; nothing trips before `window` samples.
-  b.record(true, 50.0, at_ms(0));
-  b.record(true, 50.0, at_ms(1));
-  b.record(true, 50.0, at_ms(2));
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  b.record(true, 50.0, at_ms(3));  // 4th sample: warmed up, EWMA 50 > 10
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-  EXPECT_EQ(b.trips(), 1u);
-  EXPECT_GT(b.latency_ewma_ms(), 10.0);
-}
-
-TEST(Breaker, LatencyTripDisabledByDefault) {
-  CircuitBreaker b("t_nolat", small_cfg());  // latency_threshold_ms = 0
-  for (int i = 0; i < 32; ++i) b.record(true, 1e6, at_ms(i));
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-}
-
-TEST(Breaker, NegativeLatencyMeansNoSample) {
-  CircuitBreaker b("t_neg", small_cfg());
-  b.record(true, 25.0, at_ms(0));
-  b.record(true, -1.0, at_ms(1));  // outcome only, no latency reading
-  EXPECT_DOUBLE_EQ(b.latency_ewma_ms(), 25.0);
-}
-
 TEST(Breaker, OutcomesWhileOpenAreIgnored) {
   CircuitBreaker b("t_stale", small_cfg());
-  for (int i = 0; i < 4; ++i) b.record(false, 1.0, at_ms(i));
+  for (int i = 0; i < 4; ++i) b.record(false, at_ms(i));
   ASSERT_EQ(b.state(), BreakerState::kOpen);
   // Stale in-flight outcomes landing after the trip don't double-trip
   // or corrupt the next half-open probe accounting.
-  b.record(false, 1.0, at_ms(5));
-  b.record(true, 1.0, at_ms(6));
+  b.record(false, at_ms(5));
+  b.record(true, at_ms(6));
   EXPECT_EQ(b.state(), BreakerState::kOpen);
   EXPECT_EQ(b.trips(), 1u);
 }
@@ -157,10 +127,10 @@ TEST(Breaker, SanitizesDegenerateConfig) {
   cfg.open_cooldown_ms = -5.0;
   cfg.error_threshold = 1.0;
   CircuitBreaker b("t_sane", cfg);
-  b.record(false, 1.0, at_ms(0));  // window clamped to 1: trips at once
+  b.record(false, at_ms(0));  // window clamped to 1: trips at once
   EXPECT_EQ(b.state(), BreakerState::kOpen);
   EXPECT_TRUE(b.allow(at_ms(0)));  // cooldown clamped to 0
-  b.record(true, 1.0, at_ms(1));   // probes clamped to 1: closes
+  b.record(true, at_ms(1));   // probes clamped to 1: closes
   EXPECT_EQ(b.state(), BreakerState::kClosed);
 }
 
@@ -175,9 +145,8 @@ TEST(Breaker, ConcurrentRecordAndAllowAreSafe) {
     workers.emplace_back([&b, w] {
       for (int i = 0; i < 500; ++i) {
         const auto now = Clock::now();
-        if (b.allow(now)) b.record((i + w) % 3 != 0, 0.5, now);
+        if (b.allow(now)) b.record((i + w) % 3 != 0, now);
         b.state();
-        b.latency_ewma_ms();
       }
     });
   }

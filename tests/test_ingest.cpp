@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -238,6 +239,29 @@ TEST(IngestCache, SingleFlightCoalescesConcurrentMisses) {
   for (const auto& v : views) {
     EXPECT_EQ(v.matrix.get(), views.front().matrix.get());
     EXPECT_EQ(v.key, views.front().key);
+  }
+}
+
+TEST(IngestCache, ConcurrentLoadsParseOncePerRound) {
+  // A caller that misses the fast path just before the leader publishes,
+  // and takes the lead just after the leader's flight ended, must find
+  // the published entry instead of parsing again. Many short rounds of
+  // simultaneous loads give that window its chances.
+  TempMatrix file("test_ingest_rounds.tmp.mtx", 52);
+  constexpr int kRounds = 200;
+  constexpr int kThreads = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    MatrixCache cache(64 << 20, /*shards=*/4);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int i = 0; i < kThreads; ++i)
+      threads.emplace_back([&] {
+        start.arrive_and_wait();
+        cache.load(file.path);
+      });
+    for (auto& t : threads) t.join();
+    ASSERT_EQ(cache.stats().parses, 1u) << "round " << round;
   }
 }
 

@@ -73,7 +73,8 @@ else
   echo "== sidecar self-test (binary CSR round-trip, bitwise) =="
   ./build/tools/spmvml sidecar --self-test
   echo "== serving smoke (BENCH_serving.json schema + contract check) =="
-  ./build/bench/serving_bench --smoke --out build/BENCH_serving.json
+  ./build/bench/serving_bench --smoke --out build/BENCH_serving.json \
+    --trace-out build/BENCH_serving_trace.json
   echo "== spmv smoke (BENCH_spmv.json bitwise contract check) =="
   ./build/bench/spmv_kernels --smoke --out build/BENCH_spmv.json
 fi
