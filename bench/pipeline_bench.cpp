@@ -1,13 +1,16 @@
 // Perf gate for the measurement pipeline: corpus collection on one pool
 // worker vs parallel_threads() workers, the blocked feature scan vs a
-// straight serial reference scan, and per-sample vs batched MLP forward
-// passes. Results land in BENCH_pipeline.json.
+// straight serial reference scan, per-sample vs batched MLP forward
+// passes, and MLP fits on the scalar vs the vector GEMM/Adam tier.
+// Results land in BENCH_pipeline.json.
 //
 // Collection runs with transient faults enabled, so cells re-roll in
 // place. The speedup is real work spread over cores, so a single-core
-// host shows none. The bench asserts the parallel corpus is byte-identical
-// to the one-worker corpus (exit 1 otherwise) — threads are a pure speed
-// knob.
+// host shows none. The bench exits 1 unless the parallel corpus is
+// byte-identical to the one-worker corpus, batched forward matches
+// per-sample forward bitwise, and the vector-tier fit's weights match
+// the scalar fit's bitwise — threads and vector width are pure speed
+// knobs.
 //
 //   ./build/bench/pipeline_bench [out.json]
 #include <algorithm>
@@ -26,6 +29,7 @@
 #include "core/label_collector.hpp"
 #include "features/features.hpp"
 #include "ml/mlp.hpp"
+#include "sparse/simd.hpp"
 #include "synth/corpus.hpp"
 #include "synth/generators.hpp"
 
@@ -182,7 +186,7 @@ int main_impl(int argc, char** argv) {
               forward_per_sample_s / forward_batched_s,
               forward_matches ? "equal" : "DIFFERENT");
 
-  // --- End-to-end batched training wall time (classifier fit). ---
+  // --- Classifier fit wall time, scalar vs vector GEMM/Adam tier. ---
   ml::Matrix xm(static_cast<std::size_t>(n));
   std::vector<int> y(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -193,11 +197,35 @@ int main_impl(int argc, char** argv) {
   }
   ml::MlpParams fit_params;
   fit_params.epochs = 10;
-  ml::MlpClassifier clf(fit_params);
-  timer.reset();
-  clf.fit(xm, y);
-  const double fit_s = timer.seconds();
-  std::printf("== mlp fit: 10 epochs over %d samples: %.3f s ==\n", n, fit_s);
+  const int fit_reps = 3;
+  const bool simd_was_enabled = simd::enabled();
+  const char* vector_isa = simd::active_isa();
+  std::printf("== mlp fit: 10 epochs over %d samples, median of %d ==\n", n,
+              fit_reps);
+  double fit_s[2];        // [0] scalar tier, [1] vector tier
+  std::string weights[2];  // serialized model of each tier's first fit
+  for (const bool vector_tier : {false, true}) {
+    simd::set_enabled(vector_tier && simd_was_enabled);
+    std::vector<double> times;
+    for (int rep = 0; rep < fit_reps; ++rep) {
+      ml::MlpClassifier clf(fit_params);
+      timer.reset();
+      clf.fit(xm, y);
+      times.push_back(timer.seconds());
+      if (rep == 0) {
+        std::ostringstream model;
+        clf.save(model);
+        weights[vector_tier] = model.str();
+      }
+    }
+    std::sort(times.begin(), times.end());
+    fit_s[vector_tier] = times[times.size() / 2];
+    std::printf("  %-8s %.3f s\n", simd::active_isa(), fit_s[vector_tier]);
+  }
+  simd::set_enabled(simd_was_enabled);
+  const bool fit_matches = weights[0] == weights[1];
+  std::printf("  speedup %.2fx, weights bitwise %s\n", fit_s[0] / fit_s[1],
+              fit_matches ? "equal" : "DIFFERENT");
 
   std::ofstream out(out_path);
   JsonWriter json(out);
@@ -226,12 +254,18 @@ int main_impl(int argc, char** argv) {
   json.kv("forward_batched_s", forward_batched_s);
   json.kv("forward_speedup", forward_per_sample_s / forward_batched_s);
   json.kv("forward_bitwise_equal", forward_matches);
-  json.kv("fit_10_epochs_s", fit_s);
+  json.kv("fit_epochs", fit_params.epochs);
+  json.kv("fit_reps", fit_reps);
+  json.kv("fit_vector_isa", vector_isa);
+  json.kv("fit_scalar_s", fit_s[0]);
+  json.kv("fit_vector_s", fit_s[1]);
+  json.kv("fit_speedup", fit_s[0] / fit_s[1]);
+  json.kv("fit_bitwise_equal", fit_matches);
   json.end_object();
   json.end_object();
   out << '\n';
   std::printf("wrote %s\n", out_path.c_str());
-  return identical && forward_matches ? 0 : 1;
+  return identical && forward_matches && fit_matches ? 0 : 1;
 }
 
 }  // namespace

@@ -78,16 +78,10 @@ namespace {
 void adam(std::vector<double>& w, std::vector<double>& m,
           std::vector<double>& v, const std::vector<double>& g,
           double lr, double decay, std::int64_t t) {
-  constexpr double b1 = 0.9, b2 = 0.999, eps = 1e-8;
-  const double c1 = 1.0 - std::pow(b1, static_cast<double>(t));
-  const double c2 = 1.0 - std::pow(b2, static_cast<double>(t));
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    m[i] = b1 * m[i] + (1.0 - b1) * g[i];
-    v[i] = b2 * v[i] + (1.0 - b2) * g[i] * g[i];
-    const double mhat = m[i] / c1;
-    const double vhat = v[i] / c2;
-    w[i] -= lr * (mhat / (std::sqrt(vhat) + eps) + decay * w[i]);
-  }
+  const double c1 = 1.0 - std::pow(kAdamBeta1, static_cast<double>(t));
+  const double c2 = 1.0 - std::pow(kAdamBeta2, static_cast<double>(t));
+  adam_step(w.size(), w.data(), m.data(), v.data(), g.data(), lr, decay, c1,
+            c2);
 }
 
 }  // namespace
@@ -177,14 +171,14 @@ void train_mlp(
         gemm_tn(layer.out, layer.in, bsz, delta[l].data(), a_in,
                 gw[l].data());
         for (double& g : gw[l]) g *= inv_batch;
-        for (int o = 0; o < layer.out; ++o) {
-          double sum = 0.0;
-          for (int s = 0; s < bsz; ++s)
-            sum += delta[l][static_cast<std::size_t>(s) *
-                                static_cast<std::size_t>(layer.out) +
-                            static_cast<std::size_t>(o)];
-          gb[l][static_cast<std::size_t>(o)] = sum * inv_batch;
-        }
+        // Bias gradients: each sums its delta column in ascending sample
+        // order; sample-major loops keep the columns in vector lanes.
+        std::fill(gb[l].begin(), gb[l].end(), 0.0);
+        const auto out = static_cast<std::size_t>(layer.out);
+        for (std::size_t s = 0; s < static_cast<std::size_t>(bsz); ++s)
+          for (std::size_t o = 0; o < out; ++o)
+            gb[l][o] += delta[l][s * out + o];
+        for (double& g : gb[l]) g *= inv_batch;
         if (l == 0) break;
         auto& prev = delta[l - 1];
         gemm_nn(bsz, layer.in, layer.out, delta[l].data(), layer.w.data(),
@@ -194,7 +188,7 @@ void train_mlp(
         const std::size_t count =
             static_cast<std::size_t>(bsz) * static_cast<std::size_t>(layer.in);
         for (std::size_t i = 0; i < count; ++i)
-          if (act_prev[i] <= 0.0) prev[i] = 0.0;
+          prev[i] = act_prev[i] <= 0.0 ? 0.0 : prev[i];  // branch-free
       }
 
       ++net.step();

@@ -471,6 +471,7 @@ struct Service::Slot {
   /// Memory-budget gate (empty when unconstrained or no summary).
   FeasibilityFn feasible;
   bool has_summary = false;
+  bool has_features = false;  // features came inline or were extracted
   bool live = false;          // resolved and awaiting predictions
   bool indirect = false;      // gets the regressor pass
   bool csr_fallback = false;  // bottom rung: static CSR, no model pass
@@ -517,14 +518,18 @@ struct Service::Batch {
 
 void Service::resolve_features(Slot& s) {
   const Request& req = s.item->req;
+  // Predict picks no format, so it has nothing to materialize.
+  const bool materialize =
+      req.materialize && req.mode != RequestMode::kPredict;
   try {
     if (!req.features.empty()) {
       std::copy(req.features.begin(), req.features.end(),
                 s.features.values.begin());
+      s.has_features = true;
       // Inline features + materialize: only the CSR master copy is
       // needed, and it comes from the ingest cache — a repeat matrix
       // costs zero parses.
-      if (req.materialize) s.view = ingest_.load(req.matrix_path).matrix;
+      if (materialize) s.view = ingest_.load(req.matrix_path).matrix;
       s.live = true;
       return;
     }
@@ -569,7 +574,7 @@ void Service::resolve_features(Slot& s) {
             stage_fault(chaos::Site::kFeatureExtract, identity);
         if (fault.kind == chaos::FaultKind::kError) {
           feature_breaker_.record(false, Clock::now());
-          if (req.materialize) s.view = std::move(matrix);
+          if (materialize) s.view = std::move(matrix);
           return s.take(Outage::kFeatureFault);
         }
         // In-batch parallel extraction: this worker scans blocks too, so
@@ -594,9 +599,10 @@ void Service::resolve_features(Slot& s) {
       s.rsp.cache_hit = true;
     }
     s.has_summary = true;
+    s.has_features = true;
     feature_breaker_.record(true, Clock::now());
     // A fast-path hit reads the matrix only now, and only to materialize.
-    if (req.materialize)
+    if (materialize)
       s.view = matrix != nullptr ? std::move(matrix)
                                  : ingest_.load(req.matrix_path).matrix;
     s.live = true;
@@ -849,7 +855,7 @@ void Service::finalize(Batch& b) {
 void Service::materialize(Batch& b) {
   for (Slot& s : b.slots) {
     const Request& req = s.item->req;
-    if (!s.rsp.ok || !req.materialize || s.view == nullptr) continue;
+    if (!s.rsp.ok || s.view == nullptr) continue;
     // Conversion stage down, or a conversion fault: the selection is
     // still served, the caller just builds the format itself.
     if (!materialize_breaker_.allow(Clock::now())) {
@@ -906,6 +912,9 @@ void Service::build_and_score(const Batch& b, Slot& s) {
   const double spmv_s = time_spmv(built);
   s.rsp.spmv_ms = spmv_s * 1e3;
   s.rsp.measured_gflops = flops / spmv_s / 1e9;
+  // A slot whose feature extraction failed served the CSR floor: it has
+  // no feature vector to ledger, and no training sample to probe for.
+  if (!s.has_features) return;
 
   ScorecardEntry entry;
   entry.features_hash = features_fingerprint(s.features.values);

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "common/env.hpp"
+#include "common/gemm.hpp"
 #include "common/obs/log.hpp"
 
 #if SPMVML_SIMD_VECEXT && defined(__x86_64__)
@@ -425,7 +426,9 @@ int init_enabled() {
 
 }  // namespace
 
-bool self_check() { return check_type<double>() && check_type<float>(); }
+bool self_check() {
+  return check_type<double>() && check_type<float>() && dense_self_check();
+}
 
 bool enabled() {
   int s = g_enabled.load(std::memory_order_relaxed);

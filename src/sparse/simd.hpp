@@ -40,8 +40,9 @@
 //     flip this to compare both paths in-process.
 //   * self-check — the first enabled() query runs a fixed-input
 //     equivalence check of every primitive (active tier vs scalar,
-//     bitwise); a mismatch disables SIMD for the process and logs a
-//     warning instead of serving wrong bits.
+//     bitwise), the dense MLP kernels of common/gemm.hpp included; a
+//     mismatch disables SIMD for the process and logs a warning instead
+//     of serving wrong bits.
 #pragma once
 
 #include <cstring>
@@ -243,8 +244,9 @@ template <>
 DotKernel<float> dot_kernel<float>();
 
 /// Fixed-input bitwise equivalence check of the active vector tier
-/// against the scalar reference (run once by enabled(); exposed for
-/// tests). Always true in a scalar-only build.
+/// against the scalar reference, sparse primitives and dense kernels
+/// (run once by enabled(); exposed for tests). Always true in a
+/// scalar-only build.
 bool self_check();
 
 }  // namespace spmvml::simd

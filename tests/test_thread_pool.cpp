@@ -4,11 +4,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <thread>
 #include <vector>
 
-#include "common/gemm.hpp"
 #include "common/thread_pool.hpp"
 
 namespace spmvml {
@@ -107,53 +105,6 @@ TEST(ThreadPool, DestructorFinishesQueuedTasks) {
       });
   }  // no wait_idle: destruction drains the queue before joining
   EXPECT_EQ(done.load(), 40);
-}
-
-TEST(Gemm, MatchesNaiveReference) {
-  // 3x2 * (4x2)^T + bias.
-  const std::vector<double> a = {1, 2, 3, 4, 5, 6};
-  const std::vector<double> b = {1, 0, 0, 1, 1, 1, 2, -1};
-  const std::vector<double> bias = {0.5, -0.5, 0.0, 1.0};
-  std::vector<double> c(12);
-  gemm_nt(3, 4, 2, a.data(), b.data(), bias.data(), c.data());
-  const std::vector<double> expect = {1.5, 1.5, 3, 1,  3.5, 3.5, 7, 3,
-                                      5.5, 5.5, 11, 5};
-  for (std::size_t i = 0; i < expect.size(); ++i)
-    EXPECT_DOUBLE_EQ(c[i], expect[i]) << i;
-
-  // C = A (2x3) * B (3x2).
-  const std::vector<double> b2 = {1, 2, 3, 4, 5, 6};
-  std::vector<double> c2(4);
-  gemm_nn(2, 2, 3, a.data(), b2.data(), c2.data());
-  EXPECT_DOUBLE_EQ(c2[0], 1 * 1 + 2 * 3 + 3 * 5);
-  EXPECT_DOUBLE_EQ(c2[1], 1 * 2 + 2 * 4 + 3 * 6);
-  EXPECT_DOUBLE_EQ(c2[2], 4 * 1 + 5 * 3 + 6 * 5);
-  EXPECT_DOUBLE_EQ(c2[3], 4 * 2 + 5 * 4 + 6 * 6);
-
-  // C = A^T (3x2 -> 2x3 reduction over rows) * B (3x2): 2x2.
-  std::vector<double> c3(4);
-  gemm_tn(2, 2, 3, a.data(), a.data(), c3.data());
-  EXPECT_DOUBLE_EQ(c3[0], 1 * 1 + 3 * 3 + 5 * 5);
-  EXPECT_DOUBLE_EQ(c3[1], 1 * 2 + 3 * 4 + 5 * 6);
-  EXPECT_DOUBLE_EQ(c3[2], 2 * 1 + 4 * 3 + 6 * 5);
-  EXPECT_DOUBLE_EQ(c3[3], 2 * 2 + 4 * 4 + 6 * 6);
-}
-
-TEST(Gemm, TiledReductionMatchesUntiledOrder) {
-  // k spans several kGemmTileK tiles; tiling must not change the
-  // ascending-k accumulation (sums round-trip through the C row exactly).
-  const int k = kGemmTileK * 2 + 37;
-  std::vector<double> a(static_cast<std::size_t>(k)), b(a.size());
-  for (int i = 0; i < k; ++i) {
-    a[static_cast<std::size_t>(i)] = std::sin(i * 0.7) * 1e3;
-    b[static_cast<std::size_t>(i)] = std::cos(i * 0.3);
-  }
-  double c = 0.0;
-  gemm_nt(1, 1, k, a.data(), b.data(), nullptr, &c);
-  double ref = 0.0;
-  for (int i = 0; i < k; ++i)
-    ref += a[static_cast<std::size_t>(i)] * b[static_cast<std::size_t>(i)];
-  EXPECT_DOUBLE_EQ(c, ref);
 }
 
 }  // namespace

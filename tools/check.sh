@@ -77,6 +77,8 @@ else
     --trace-out build/BENCH_serving_trace.json
   echo "== spmv smoke (BENCH_spmv.json bitwise contract check) =="
   ./build/bench/spmv_kernels --smoke --out build/BENCH_spmv.json
+  echo "== pipeline gate (identical corpus, bitwise MLP forward and fit) =="
+  (cd build && ./bench/pipeline_bench BENCH_pipeline.json)
 fi
 
 echo "OK"
